@@ -2,35 +2,9 @@
 
 The canonical metadata lives in pyproject.toml; this file exists so the
 package can be installed in environments without the `wheel` package
-(offline legacy path: `python setup.py develop`) and to gate the
-optional compiled drive kernel.
-
-The C extension (`repro.kpn._ckernel`) is an optional accelerator with
-a mandatory pure-Python fallback, so it is only built when explicitly
-requested::
-
-    REPRO_BUILD_CKERNEL=1 python setup.py build_ext --inplace
-    REPRO_BUILD_CKERNEL=1 pip install -e .
-
-and a failed build never fails the install (``optional=True``).
+(offline legacy path: `python setup.py develop`).
 """
 
-import os
+from setuptools import setup
 
-from setuptools import Extension, setup
-
-ext_modules = []
-if os.environ.get("REPRO_BUILD_CKERNEL", "").strip().lower() in (
-    "1",
-    "true",
-    "yes",
-):
-    ext_modules.append(
-        Extension(
-            "repro.kpn._ckernel",
-            sources=["src/repro/kpn/_ckernel.c"],
-            optional=True,
-        )
-    )
-
-setup(ext_modules=ext_modules)
+setup()

@@ -48,7 +48,7 @@ percentiles exist without shipping raw series.
 Because every run is a pure function of its spec (seeded RNG only — see
 ``tests/experiments/test_runner.py::TestSeedPurity``), parallel, serial,
 deduplicated and cached executions of the same sweep produce identical
-results (see DESIGN.md §11 for the shared-result determinism rule).
+results (see DESIGN.md §10 for the shared-result determinism rule).
 """
 
 from __future__ import annotations

@@ -41,10 +41,9 @@ from repro.rtc.sizing import SizingResult
 #: the digest, so old cache entries stop matching automatically.
 #: v2: ``exec_mode`` (step-machine vs generator execution core).
 #: v3: ``recovery`` (closed-loop countermeasure manager).
-TASK_SCHEMA_VERSION = 3
-
-#: Valid ``exec_mode`` values (mirrors ``Simulator(exec_mode=...)``).
-EXEC_MODES = ("stepped", "generator")
+#: v4: ``exec_mode`` removed; every run uses the one generator engine,
+#: whose cost-model poll charges differ slightly from the step machines'.
+TASK_SCHEMA_VERSION = 4
 
 #: ``kind`` values.
 KIND_REFERENCE = "reference"
@@ -128,11 +127,6 @@ class TaskSpec:
     #: Ship raw consumer payloads back (results always carry per-token
     #: content hashes; raw values can be large for the video apps).
     keep_values: bool = False
-    #: Engine execution core: ``"stepped"`` (default, step machines) or
-    #: ``"generator"``.  Traces are byte-identical across modes (pinned
-    #: by the golden suite), but the mode still participates in the
-    #: digest: a cache entry records *how* its bytes were produced.
-    exec_mode: str = "stepped"
     #: Duplicated runs only: arm the closed-loop countermeasure manager
     #: (:mod:`repro.recovery`) on the detection log.
     recovery: Optional[RecoverySpec] = None
@@ -140,11 +134,6 @@ class TaskSpec:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise TaskSpecError(f"unknown task kind {self.kind!r}")
-        if self.exec_mode not in EXEC_MODES:
-            raise TaskSpecError(
-                f"unknown exec_mode {self.exec_mode!r} "
-                f"(expected one of {EXEC_MODES})"
-            )
         if self.monitor is not None and not self.record_events:
             raise TaskSpecError("a monitor needs record_events=True")
         if self.validate and not self.record_events:
@@ -166,7 +155,6 @@ class TaskSpec:
         seed: int,
         sizing: Optional[SizingResult] = None,
         variant: int = 0,
-        exec_mode: str = "stepped",
     ) -> "TaskSpec":
         """A reference-network run of ``app`` (Figure 1, top)."""
         return cls(
@@ -175,7 +163,6 @@ class TaskSpec:
             seed=seed,
             sizing=sizing,
             variant=variant,
-            exec_mode=exec_mode,
             **_app_fields(app),
         )
 
@@ -194,7 +181,6 @@ class TaskSpec:
         monitor: Optional[DistanceMonitorSpec] = None,
         validate: bool = False,
         keep_values: bool = False,
-        exec_mode: str = "stepped",
         recovery: Optional[RecoverySpec] = None,
     ) -> "TaskSpec":
         """A duplicated-network run of ``app`` (Figure 1, bottom)."""
@@ -211,7 +197,6 @@ class TaskSpec:
             monitor=monitor,
             validate=validate,
             keep_values=keep_values,
-            exec_mode=exec_mode,
             recovery=recovery,
             **_app_fields(app),
         )
@@ -413,8 +398,9 @@ def spec_to_jsonable(obj):
 def spec_from_jsonable(data):
     """Decode the output of :func:`spec_to_jsonable`.
 
-    Raises :class:`TaskSpecError` on unknown tags or constructor-rejected
-    values (the dataclass validators re-run on decode).
+    Raises :class:`TaskSpecError` on unknown tags, unknown fields (e.g.
+    a field an older schema carried) or constructor-rejected values (the
+    dataclass validators re-run on decode).
     """
     _register_json_types()
     if isinstance(data, dict) and "__type__" in data:
@@ -422,6 +408,15 @@ def spec_from_jsonable(data):
         cls = _JSON_TYPES.get(name)
         if cls is None:
             raise TaskSpecError(f"unknown spec type {name!r} in JSON")
+        unknown = sorted(
+            set(data) - {"__type__"}
+            - {f.name for f in dataclasses.fields(cls)}
+        )
+        if unknown:
+            raise TaskSpecError(
+                f"unknown field(s) {', '.join(unknown)} for {name} in "
+                "replayable JSON (written by an older schema?)"
+            )
         kwargs = {
             key: spec_from_jsonable(value)
             for key, value in data.items()

@@ -122,7 +122,6 @@ def _execute_reference(spec, app, sizing) -> TaskResult:
         spec.seed,
         sizing=sizing,
         variant=spec.variant,
-        exec_mode=spec.exec_mode,
     )
     return TaskResult(
         kind=spec.kind,
@@ -153,7 +152,6 @@ def _execute_duplicated(spec, app, sizing) -> TaskResult:
         strict_single_fault=spec.strict_single_fault,
         selector_stall_detection=spec.selector_stall_detection,
         monitor_factory=monitor_factory,
-        exec_mode=spec.exec_mode,
         recovery=spec.recovery,
     )
     result = TaskResult(

@@ -111,9 +111,6 @@ def run_reference(
     seed: int,
     sizing: Optional[SizingResult] = None,
     variant: int = 0,
-    exec_mode: Optional[str] = None,
-    partitioned: Optional[bool] = None,
-    kernel: Optional[str] = None,
 ) -> ReferenceRun:
     """Build and run the reference network to quiescence."""
     sizing = sizing or app.sizing()
@@ -131,10 +128,7 @@ def run_reference(
 
     copy_before = COPY_STATS.snapshot()
     _sim, stats = reference.network.run(
-        max_events=tokens * MAX_EVENTS_PER_TOKEN,
-        exec_mode=exec_mode,
-        partitioned=partitioned,
-        kernel=kernel,
+        max_events=tokens * MAX_EVENTS_PER_TOKEN
     )
     consumer = reference.consumer
     return ReferenceRun(
@@ -164,9 +158,6 @@ def run_duplicated(
     selector_stall_detection: bool = True,
     transfer_latency: Optional[Callable] = None,
     obs=None,
-    exec_mode: Optional[str] = None,
-    partitioned: Optional[bool] = None,
-    kernel: Optional[str] = None,
     recovery=None,
 ) -> DuplicatedRun:
     """Build and run the duplicated network to quiescence.
@@ -211,9 +202,7 @@ def run_duplicated(
     timeline = obs.timeline if obs is not None else None
     if timeline is not None:
         timeline.watch(duplicated.detection_log)
-    sim = duplicated.network.instantiate(
-        exec_mode=exec_mode, partitioned=partitioned, kernel=kernel
-    )
+    sim = duplicated.network.instantiate()
     if timeline is not None:
         sim.set_transition_hook(timeline.transition)
     manager = None

@@ -90,47 +90,15 @@ class Network:
                         f"unconnected endpoint '{attr}'"
                     )
 
-    # -- structure -------------------------------------------------------------
-
-    def partition_groups(self) -> list:
-        """Independent subnetwork partitions of this graph.
-
-        Returns process-name groups (see
-        :func:`repro.kpn.partition.partition_names`): two processes
-        share a group iff they are connected through a chain of shared
-        channels.  A single-group result means the network is one
-        connected component and partitioned execution degenerates to a
-        single burst.
-        """
-        from repro.kpn.partition import partition_names
-
-        return partition_names(list(self.processes.values()))
-
     # -- instantiation ---------------------------------------------------------
 
-    def instantiate(
-        self,
-        sim: Optional[Simulator] = None,
-        exec_mode: Optional[str] = None,
-        partitioned: Optional[bool] = None,
-        kernel: Optional[str] = None,
-    ) -> Simulator:
-        """Bind channels and register processes into a simulator.
-
-        ``exec_mode`` / ``partitioned`` / ``kernel`` configure the
-        freshly built simulator (ignored when an explicit ``sim`` is
-        passed — the caller already configured it).
-        """
+    def instantiate(self, sim: Optional[Simulator] = None) -> Simulator:
+        """Bind channels and register processes into a simulator (a
+        fresh one carrying this network's metrics unless ``sim`` is
+        given)."""
         self.validate()
         if sim is None:
-            kwargs = {}
-            if exec_mode is not None:
-                kwargs["exec_mode"] = exec_mode
-            if partitioned is not None:
-                kwargs["partitioned"] = partitioned
-            if kernel is not None:
-                kwargs["kernel"] = kernel
-            sim = Simulator(metrics=self.metrics, **kwargs)
+            sim = Simulator(metrics=self.metrics)
         for channel in self.channels.values():
             channel.bind(sim)
         for process in self.processes.values():
@@ -141,14 +109,9 @@ class Network:
         self,
         until: Optional[float] = None,
         max_events: Optional[int] = None,
-        exec_mode: Optional[str] = None,
-        partitioned: Optional[bool] = None,
-        kernel: Optional[str] = None,
     ):
         """Instantiate into a fresh simulator and run to quiescence."""
-        sim = self.instantiate(
-            exec_mode=exec_mode, partitioned=partitioned, kernel=kernel
-        )
+        sim = self.instantiate()
         stats = sim.run(until=until, max_events=max_events)
         return sim, stats
 

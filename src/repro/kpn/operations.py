@@ -22,6 +22,7 @@ in :mod:`repro.kpn.process` all use this pattern.
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 
@@ -40,7 +41,7 @@ class Read(Operation):
     and a method bind from every poll the engine performs.
     """
 
-    __slots__ = ("endpoint", "channel", "index", "poll", "retry_at")
+    __slots__ = ("endpoint", "channel", "index", "poll")
 
     def __init__(self, endpoint: Any) -> None:
         self.endpoint = endpoint
@@ -48,13 +49,6 @@ class Read(Operation):
         self.channel = channel
         self.index = endpoint.index
         self.poll = channel.poll_read
-        #: Self-polling step machines (:mod:`repro.kpn.stepmachine`)
-        #: record the payload of the failed poll here when they hand a
-        #: blocked read back to the engine: ``None`` for ``empty`` (park)
-        #: or the ready instant for ``wait`` (timed channels).  The
-        #: engine trusts it instead of re-polling.  Generator execution
-        #: never reads or writes this field.
-        self.retry_at = None
 
     def __repr__(self) -> str:
         return f"Read(endpoint={self.endpoint!r})"
@@ -81,13 +75,15 @@ class Write(Operation):
 
 
 class Delay(Operation):
-    """Advance the process's local virtual time by ``duration`` (>= 0)."""
+    """Advance the process's local virtual time by ``duration``
+    (finite, >= 0)."""
 
     __slots__ = ("duration",)
 
     def __init__(self, duration: float) -> None:
-        if duration < 0:
-            raise ValueError(f"delay must be >= 0, got {duration}")
+        # The chained comparison also rejects NaN.
+        if not 0 <= duration < math.inf:
+            raise ValueError(f"delay must be finite and >= 0, got {duration}")
         self.duration = duration
 
     def __repr__(self) -> str:

@@ -30,11 +30,16 @@ the globally smallest ``(time, sequence)`` next, so the observable event
 order — and therefore every trace — is identical to the heap-only engine.
 The queue is bounded by construction: ``wake_scheduled`` admits at most
 one pending wake per registered process.
+
+This is the only drive loop: one binary heap, one run queue, one
+``_advance``.  DESIGN.md Section 9 records why the alternative engine
+configurations were removed.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from collections import deque
 from enum import Enum
@@ -43,10 +48,6 @@ from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.kpn.errors import ProtocolError, SimulationError
 from repro.kpn.operations import Delay, Halt, Operation, Read, Write
-from repro.kpn import kernel as _kernel
-from repro.kpn.partition import endpoint_channels, partition_processes
-from repro.kpn.scheduler import CalendarQueue
-from repro.kpn.stepmachine import compile_stepfn
 
 _heappush = heapq.heappush
 
@@ -64,20 +65,12 @@ class ProcessState(Enum):
 
 
 class ProcessHandle:
-    """Engine-side wrapper around one process behaviour.
-
-    In generator mode ``generator`` is the live ``behavior()`` generator
-    and ``stepfn`` is ``None``.  In stepped mode ``stepfn`` is the
-    compiled ``step(value, now) -> Operation | None`` machine (see
-    :mod:`repro.kpn.stepmachine`); ``generator`` is ``None`` for
-    hand-compiled shapes and the adapted generator otherwise (kept so
-    :meth:`Simulator.kill` can close it).
-    """
+    """Engine-side wrapper around one process's live ``behavior()``
+    generator."""
 
     __slots__ = (
         "name",
         "generator",
-        "stepfn",
         "owner",
         "state",
         "pending_op",
@@ -87,12 +80,9 @@ class ProcessHandle:
         "resume_event",
     )
 
-    def __init__(
-        self, name: str, generator, owner: Any = None, stepfn=None
-    ) -> None:
+    def __init__(self, name: str, generator, owner: Any = None) -> None:
         self.name = name
         self.generator = generator
-        self.stepfn = stepfn
         self.owner = owner
         self.state = ProcessState.READY
         self.pending_op: Optional[Operation] = None
@@ -195,89 +185,7 @@ class Simulator:
         stats = sim.run(until=10_000.0)
     """
 
-    def __init__(
-        self,
-        metrics: Any = None,
-        scheduler: str = "calendar",
-        calendar_threshold: int = 8,
-        exec_mode: str = "stepped",
-        partitioned: bool = False,
-        kernel: str = "auto",
-    ) -> None:
-        if scheduler not in ("calendar", "heap"):
-            raise ValueError(
-                f"scheduler must be 'calendar' or 'heap', got {scheduler!r}"
-            )
-        if exec_mode not in ("stepped", "generator"):
-            raise ValueError(
-                "exec_mode must be 'stepped' or 'generator', "
-                f"got {exec_mode!r}"
-            )
-        if kernel not in ("auto", "pure", "compiled"):
-            raise ValueError(
-                "kernel must be 'auto', 'pure' or 'compiled', "
-                f"got {kernel!r}"
-            )
-        if kernel == "compiled":
-            if exec_mode != "stepped":
-                raise ValueError(
-                    "kernel='compiled' requires exec_mode='stepped'"
-                )
-            if not _kernel.available():
-                raise RuntimeError(
-                    "compiled kernel requested but repro.kpn._ckernel is "
-                    "not built; see docs/API.md (REPRO_BUILD_CKERNEL=1) "
-                    "or use kernel='auto'"
-                )
-        #: Drive-kernel policy: ``"auto"`` (default) uses the compiled
-        #: heap drive when the optional C extension is built,
-        #: ``"pure"`` forces the pure-Python loops, ``"compiled"``
-        #: requires the extension.  Traces are byte-identical either
-        #: way; the kernel silently defers to the pure loop whenever
-        #: observation (hooks/metrics) is active.
-        self.kernel = kernel
-        #: Execution mode.  ``"stepped"`` (default) compiles each
-        #: registered process into an explicit step machine
-        #: (:mod:`repro.kpn.stepmachine`) and drives it through plain
-        #: function calls; ``"generator"`` resumes ``behavior()``
-        #: generators directly.  Both consume identical sequence numbers
-        #: in identical order, so traces are byte-identical.
-        self.exec_mode = exec_mode
-        if exec_mode == "stepped":
-            # Instance attributes shadow the class methods: every advance
-            # site (_fire_*, _reattempt) and :meth:`run` pick up the
-            # stepped loops without per-call mode tests.
-            self._advance = self._advance_stepped
-            self._drive_heap = self._drive_heap_stepped
-            self._drive_calendar = self._drive_calendar_stepped
-            if kernel != "pure" and _kernel.available():
-                self._drive_heap = self._drive_heap_ckernel
-        #: Partitioned batch advance.  When True, :meth:`run` detects the
-        #: independent subnetwork partitions of the registered graph
-        #: (connected components over shared channels — see
-        #: :mod:`repro.kpn.partition`), gives each partition its own
-        #: calendar queue and run queue, and advances whole partitions in
-        #: bursts between cross-partition synchronisation points (global
-        #: :class:`CallbackEvent`\ s — fault injections, ``schedule()``
-        #: actions — and the run horizon).  Within a partition the event
-        #: order is identical to the interleaved engine, and partitions
-        #: never exchange tokens, so every channel trace is
-        #: byte-identical; only the wall-clock interleaving (and
-        #: therefore which events a ``max_events`` budget attributes)
-        #: differs.
-        self.partitioned = partitioned
-        #: Scheduler policy.  ``"calendar"`` (default) engages an O(1)
-        #: amortised :class:`~repro.kpn.scheduler.CalendarQueue` for the
-        #: duration of a :meth:`run` whenever the pending-event population
-        #: at run entry reaches ``calendar_threshold``; ``"heap"`` always
-        #: uses the plain binary heap.  Event order (and thus every trace)
-        #: is identical under both.
-        self.scheduler = scheduler
-        self.calendar_threshold = calendar_threshold
-        #: The engaged CalendarQueue during a calendar-mode run, else None.
-        #: Scheduling paths (`_push_event`, the Delay fast path) route
-        #: into it when set.
-        self._cal = None
+    def __init__(self, metrics: Any = None) -> None:
         self._heap: List[Tuple[float, int, Any]] = []
         #: Direct-handoff run queue: ``(time, sequence, handle)`` wakes at
         #: the current instant, FIFO in sequence order.
@@ -351,18 +259,16 @@ class Simulator:
         self._push_event(time, CallbackEvent(action))
 
     def _push_event(self, time: float, event: Any) -> None:
-        """Push a typed event record onto the event queue at ``time``."""
-        if time < self._now - 1e-12:
+        """Push a typed event record onto the event heap at ``time``."""
+        # The chained comparison also rejects NaN, which would otherwise
+        # sort first and set ``now`` to NaN.
+        if not self._now - 1e-12 <= time < math.inf:
             raise SimulationError(
-                f"cannot schedule at {time} before now ({self._now})"
+                f"cannot schedule at {time}: event times must be finite "
+                f"and not before now ({self._now})"
             )
         self._sequence += 1
-        entry = (max(time, self._now), self._sequence, event)
-        cal = self._cal
-        if cal is None:
-            heapq.heappush(self._heap, entry)
-        else:
-            cal.push(entry)
+        _heappush(self._heap, (max(time, self._now), self._sequence, event))
 
     # -- process management -------------------------------------------------
 
@@ -375,13 +281,7 @@ class Simulator:
         name = process.name
         if name in self._handles:
             raise ProtocolError(f"duplicate process name: {name}")
-        if self.exec_mode == "stepped":
-            stepfn, generator = compile_stepfn(process)
-            handle = ProcessHandle(
-                name, generator, owner=process, stepfn=stepfn
-            )
-        else:
-            handle = ProcessHandle(name, process.behavior(), owner=process)
+        handle = ProcessHandle(name, process.behavior(), owner=process)
         self._handles[name] = handle
         if hasattr(process, "attach"):
             process.attach(self, handle)
@@ -408,16 +308,14 @@ class Simulator:
         handle.state = ProcessState.KILLED
         if self._hook is not None:
             self._hook(self._now, name, "killed", None)
-        generator = handle.generator
-        if generator is not None:
-            try:
-                generator.close()
-            except (RuntimeError, ValueError):
-                # The generator is currently executing — a process killing
-                # itself, or a hook firing while the engine is mid-advance.
-                # The KILLED state already guarantees it never advances
-                # again; the suspended frame is reclaimed by the GC.
-                pass
+        try:
+            handle.generator.close()
+        except (RuntimeError, ValueError):
+            # The generator is currently executing — a process killing
+            # itself, or a hook firing while the engine is mid-advance.
+            # The KILLED state already guarantees it never advances
+            # again; the suspended frame is reclaimed by the GC.
+            pass
 
     def blocked_processes(self) -> List[str]:
         """Names of live processes currently parked on a channel."""
@@ -441,34 +339,23 @@ class Simulator:
         normal end of a finite streaming run), not an error; callers that
         consider it a deadlock can inspect ``stats.blocked_processes``.
 
-        Scheduler engagement happens here: with ``scheduler="calendar"``
-        and at least ``calendar_threshold`` pending events, the run is
-        driven from a :class:`~repro.kpn.scheduler.CalendarQueue` (O(1)
-        amortised scheduling); pending entries spill back to the plain
-        heap on exit so ``step()``/inspection keep working.  Event order
-        is identical either way.
+        ``until`` must be finite and ``max_events`` non-negative;
+        ``max_events=0`` fires nothing and reports ``halted_on_limit``.
         """
+        if until is not None and not math.isfinite(until):
+            raise ValueError(f"until must be finite, got {until}")
+        if max_events is not None and max_events < 0:
+            raise ValueError(f"max_events must be >= 0, got {max_events}")
         stats = RunStats()
         time_limit = float("inf") if until is None else until
-        event_limit = -1 if max_events is None else max_events
         started = perf_counter()
-        if self.partitioned and self._handles:
-            events = self._drive_partitioned(stats, time_limit, event_limit)
-        elif (
-            self.scheduler == "calendar"
-            and self._cal is None
-            and len(self._heap) >= self.calendar_threshold
-        ):
-            self._cal = CalendarQueue(self._heap)
-            self._heap = []
-            try:
-                events = self._drive_calendar(stats, time_limit, event_limit)
-            finally:
-                self._heap = self._cal.drain()
-                heapq.heapify(self._heap)
-                self._cal = None
+        if max_events == 0:
+            stats.halted_on_limit = True
+            events = 0
         else:
-            events = self._drive_heap(stats, time_limit, event_limit)
+            events = self._drive_heap(
+                stats, time_limit, -1 if max_events is None else max_events
+            )
         stats.events = events
         stats.wall_time_s = perf_counter() - started
         if stats.wall_time_s > 0:
@@ -480,7 +367,10 @@ class Simulator:
     def _drive_heap(
         self, stats: RunStats, time_limit: float, event_limit: int
     ) -> int:
-        """The binary-heap run loop (small populations, ``scheduler="heap"``)."""
+        """The run loop: fire events in ``(time, sequence)`` order.
+
+        ``event_limit`` is the ``max_events`` budget, ``-1`` for none.
+        """
         heap = self._heap
         runq = self._runq
         jump = _JUMP_TABLE
@@ -545,892 +435,6 @@ class Simulator:
                 self._m_events.inc(events)
                 self._m_runq_wakes.inc(runq_fired)
                 self._m_heap_events.inc(events - runq_fired)
-        return events
-
-    def _drive_calendar(
-        self, stats: RunStats, time_limit: float, event_limit: int
-    ) -> int:
-        """The calendar-queue run loop.
-
-        Structurally identical to :meth:`_drive_heap` with the heap's
-        ``[0]``/``heappop`` replaced by the calendar's ``peek``/``pop``;
-        both pop the globally smallest ``(time, sequence)`` so the event
-        order — and every trace — is byte-identical between the two.
-        """
-        cal = self._cal
-        runq = self._runq
-        jump = _JUMP_TABLE
-        peek = cal.peek
-        pop = cal.pop
-        advance = self._advance
-        reattempt = self._reattempt
-        events = 0
-        runq_fired = 0
-        try:
-            while cal or runq:
-                if runq:
-                    entry = runq[0]
-                    if cal:
-                        top = peek()
-                        if top[0] < entry[0] or (
-                            top[0] == entry[0] and top[1] < entry[1]
-                        ):
-                            entry = top
-                            from_runq = False
-                        else:
-                            from_runq = True
-                    else:
-                        from_runq = True
-                else:
-                    entry = peek()
-                    from_runq = False
-                time = entry[0]
-                if time > time_limit:
-                    break
-                self._now = time
-                events += 1
-                if from_runq:
-                    runq.popleft()
-                    runq_fired += 1
-                    handle = entry[2]
-                    handle.wake_scheduled = False
-                    operation = handle.pending_op
-                    if operation is not None:
-                        reattempt(handle, operation)
-                else:
-                    pop()
-                    event = entry[2]
-                    cls = event.__class__
-                    if cls is ResumeEvent:
-                        advance(event.handle, None)
-                    else:
-                        jump[cls](self, event)
-                if events == event_limit:
-                    stats.halted_on_limit = True
-                    break
-        finally:
-            self._event_count += events
-            if self._metrics is not None:
-                self._m_events.inc(events)
-                self._m_runq_wakes.inc(runq_fired)
-                self._m_heap_events.inc(events - runq_fired)
-        return events
-
-    def _drive_heap_stepped(
-        self, stats: RunStats, time_limit: float, event_limit: int
-    ) -> int:
-        """Stepped-mode heap run loop with the advance loop fused in.
-
-        Same event selection as :meth:`_drive_heap`, but the two
-        per-event hot continuations — a ``ResumeEvent`` resuming a
-        delayed process and a run-queue wake re-polling a blocked one —
-        fall directly into an inlined copy of the step loop instead of
-        calling :meth:`_advance_stepped`.  At one advance per event the
-        saved call + prologue is the engine's largest remaining
-        per-event cost.  Sequence numbers are consumed at exactly the
-        same points, so event order (and every trace) is unchanged.
-        """
-        heap = self._heap
-        runq = self._runq
-        jump = _JUMP_TABLE
-        pop = heapq.heappop
-        push = _heappush
-        note_block = self._note_block
-        events = 0
-        runq_fired = 0
-        observed = self._observed
-        done = _DONE
-        killed = _KILLED
-        try:
-            while heap or runq:
-                if runq:
-                    entry = runq[0]
-                    if heap:
-                        top = heap[0]
-                        if top[0] < entry[0] or (
-                            top[0] == entry[0] and top[1] < entry[1]
-                        ):
-                            entry = top
-                            from_runq = False
-                        else:
-                            from_runq = True
-                    else:
-                        from_runq = True
-                else:
-                    entry = heap[0]
-                    from_runq = False
-                time = entry[0]
-                if time > time_limit:
-                    break
-                self._now = time
-                events += 1
-                # ``handle`` non-None after selection means: enter the
-                # fused step loop with ``value``.
-                handle = None
-                if from_runq:
-                    # Direct-handoff wake: inlined _reattempt.  A
-                    # re-block keeps the original blocked span — no
-                    # block transition is re-emitted.
-                    runq.popleft()
-                    runq_fired += 1
-                    waked = entry[2]
-                    waked.wake_scheduled = False
-                    operation = waked.pending_op
-                    state = waked.state
-                    if (
-                        operation is not None
-                        and state is not done
-                        and state is not killed
-                    ):
-                        ocls = operation.__class__
-                        if ocls is Read:
-                            status, payload = operation.poll(
-                                operation.index, time
-                            )
-                            if status == "ok":
-                                if observed:
-                                    self._note_resume(waked)
-                                handle = waked
-                                value = payload
-                            elif status == "wait":
-                                waked.state = _BLOCKED_READ
-                                waked.pending_op = operation
-                                self._push_event(
-                                    payload, RetryEvent(waked, operation)
-                                )
-                            elif status == "empty":
-                                waked.state = _BLOCKED_READ
-                                waked.pending_op = operation
-                                operation.channel.park_reader(
-                                    operation.index, waked
-                                )
-                            else:  # pragma: no cover - contract violation
-                                raise ProtocolError(
-                                    f"bad poll_read status {status!r}"
-                                )
-                        elif ocls is Write:
-                            status, _ = operation.poll(
-                                operation.index, operation.token, time
-                            )
-                            if status == "ok":
-                                if observed:
-                                    self._note_resume(waked)
-                                handle = waked
-                                value = None
-                            elif status == "full":
-                                waked.state = _BLOCKED_WRITE
-                                waked.pending_op = operation
-                                operation.channel.park_writer(
-                                    operation.index, waked
-                                )
-                            else:  # pragma: no cover - contract violation
-                                raise ProtocolError(
-                                    f"bad poll_write status {status!r}"
-                                )
-                else:
-                    pop(heap)
-                    event = entry[2]
-                    cls = event.__class__
-                    if cls is ResumeEvent:
-                        resumed = event.handle
-                        state = resumed.state
-                        if state is not done and state is not killed:
-                            handle = resumed
-                            value = None
-                    else:
-                        jump[cls](self, event)
-                if handle is not None:
-                    # Fused step loop — the body of _advance_stepped
-                    # with ``now`` pinned to this event's instant and
-                    # Delay pushing straight onto the heap (``_cal`` is
-                    # None for the whole heap drive by construction).
-                    # ``trusted`` marks self-polling machines: a
-                    # Read/Write they return has already failed its
-                    # poll (idempotently), so the engine parks it
-                    # directly instead of polling again.
-                    stepfn = handle.stepfn
-                    trusted = handle.generator is None
-                    while True:
-                        operation = stepfn(value, time)
-                        if operation is None:
-                            handle.state = done
-                            if observed and self._hook is not None:
-                                self._hook(time, handle.name, "done", None)
-                            break
-                        if handle.state is killed:
-                            break
-                        ocls = operation.__class__
-                        if ocls is Read:
-                            if trusted:
-                                handle.state = _BLOCKED_READ
-                                handle.pending_op = operation
-                                if observed:
-                                    note_block(
-                                        handle, "block_read",
-                                        operation.channel.name,
-                                    )
-                                retry_at = operation.retry_at
-                                if retry_at is None:
-                                    operation.channel.park_reader(
-                                        operation.index, handle
-                                    )
-                                else:
-                                    self._push_event(
-                                        retry_at,
-                                        RetryEvent(handle, operation),
-                                    )
-                                break
-                            status, payload = operation.poll(
-                                operation.index, time
-                            )
-                            if status == "ok":
-                                value = payload
-                                continue
-                            handle.state = _BLOCKED_READ
-                            handle.pending_op = operation
-                            if observed:
-                                note_block(
-                                    handle, "block_read",
-                                    operation.channel.name,
-                                )
-                            if status == "wait":
-                                self._push_event(
-                                    payload, RetryEvent(handle, operation)
-                                )
-                            elif status == "empty":
-                                operation.channel.park_reader(
-                                    operation.index, handle
-                                )
-                            else:  # pragma: no cover - contract violation
-                                raise ProtocolError(
-                                    f"bad poll_read status {status!r}"
-                                )
-                            break
-                        if ocls is Write:
-                            if trusted:
-                                handle.state = _BLOCKED_WRITE
-                                handle.pending_op = operation
-                                if observed:
-                                    note_block(
-                                        handle, "block_write",
-                                        operation.channel.name,
-                                    )
-                                operation.channel.park_writer(
-                                    operation.index, handle
-                                )
-                                break
-                            status, _ = operation.poll(
-                                operation.index, operation.token, time
-                            )
-                            if status == "ok":
-                                value = None
-                                continue
-                            if status == "full":
-                                handle.state = _BLOCKED_WRITE
-                                handle.pending_op = operation
-                                if observed:
-                                    note_block(
-                                        handle, "block_write",
-                                        operation.channel.name,
-                                    )
-                                operation.channel.park_writer(
-                                    operation.index, handle
-                                )
-                            else:  # pragma: no cover - contract violation
-                                raise ProtocolError(
-                                    f"bad poll_write status {status!r}"
-                                )
-                            break
-                        if ocls is Delay:
-                            handle.state = _DELAYED
-                            handle.pending_op = operation
-                            if observed and self._hook is not None:
-                                self._hook(
-                                    time, handle.name, "compute",
-                                    operation.duration,
-                                )
-                            sequence = self._sequence + 1
-                            self._sequence = sequence
-                            push(
-                                heap,
-                                (
-                                    time + operation.duration,
-                                    sequence,
-                                    handle.resume_event,
-                                ),
-                            )
-                            break
-                        if ocls is Halt:
-                            handle.state = done
-                            generator = handle.generator
-                            if generator is not None:
-                                generator.close()
-                            if observed and self._hook is not None:
-                                self._hook(time, handle.name, "done", None)
-                            break
-                        raise ProtocolError(
-                            f"process {handle.name} yielded unknown "
-                            f"operation {operation!r}"
-                        )
-                if events == event_limit:
-                    stats.halted_on_limit = True
-                    break
-        finally:
-            self._event_count += events
-            if self._metrics is not None:
-                self._m_events.inc(events)
-                self._m_runq_wakes.inc(runq_fired)
-                self._m_heap_events.inc(events - runq_fired)
-        return events
-
-    def _drive_calendar_stepped(
-        self, stats: RunStats, time_limit: float, event_limit: int
-    ) -> int:
-        """Stepped-mode calendar run loop.
-
-        :meth:`_drive_heap_stepped` with the heap's ``[0]``/``heappop``
-        replaced by the calendar's ``peek``/``pop`` and the inlined
-        Delay push routed into the calendar; pop order is identical, so
-        so are traces.
-        """
-        cal = self._cal
-        runq = self._runq
-        jump = _JUMP_TABLE
-        peek = cal.peek
-        pop = cal.pop
-        cal_push = cal.push
-        note_block = self._note_block
-        events = 0
-        runq_fired = 0
-        observed = self._observed
-        done = _DONE
-        killed = _KILLED
-        try:
-            while cal or runq:
-                if runq:
-                    entry = runq[0]
-                    if cal:
-                        top = peek()
-                        if top[0] < entry[0] or (
-                            top[0] == entry[0] and top[1] < entry[1]
-                        ):
-                            entry = top
-                            from_runq = False
-                        else:
-                            from_runq = True
-                    else:
-                        from_runq = True
-                else:
-                    entry = peek()
-                    from_runq = False
-                time = entry[0]
-                if time > time_limit:
-                    break
-                self._now = time
-                events += 1
-                handle = None
-                if from_runq:
-                    runq.popleft()
-                    runq_fired += 1
-                    waked = entry[2]
-                    waked.wake_scheduled = False
-                    operation = waked.pending_op
-                    state = waked.state
-                    if (
-                        operation is not None
-                        and state is not done
-                        and state is not killed
-                    ):
-                        ocls = operation.__class__
-                        if ocls is Read:
-                            status, payload = operation.poll(
-                                operation.index, time
-                            )
-                            if status == "ok":
-                                if observed:
-                                    self._note_resume(waked)
-                                handle = waked
-                                value = payload
-                            elif status == "wait":
-                                waked.state = _BLOCKED_READ
-                                waked.pending_op = operation
-                                self._push_event(
-                                    payload, RetryEvent(waked, operation)
-                                )
-                            elif status == "empty":
-                                waked.state = _BLOCKED_READ
-                                waked.pending_op = operation
-                                operation.channel.park_reader(
-                                    operation.index, waked
-                                )
-                            else:  # pragma: no cover - contract violation
-                                raise ProtocolError(
-                                    f"bad poll_read status {status!r}"
-                                )
-                        elif ocls is Write:
-                            status, _ = operation.poll(
-                                operation.index, operation.token, time
-                            )
-                            if status == "ok":
-                                if observed:
-                                    self._note_resume(waked)
-                                handle = waked
-                                value = None
-                            elif status == "full":
-                                waked.state = _BLOCKED_WRITE
-                                waked.pending_op = operation
-                                operation.channel.park_writer(
-                                    operation.index, waked
-                                )
-                            else:  # pragma: no cover - contract violation
-                                raise ProtocolError(
-                                    f"bad poll_write status {status!r}"
-                                )
-                else:
-                    pop()
-                    event = entry[2]
-                    cls = event.__class__
-                    if cls is ResumeEvent:
-                        resumed = event.handle
-                        state = resumed.state
-                        if state is not done and state is not killed:
-                            handle = resumed
-                            value = None
-                    else:
-                        jump[cls](self, event)
-                if handle is not None:
-                    stepfn = handle.stepfn
-                    trusted = handle.generator is None
-                    while True:
-                        operation = stepfn(value, time)
-                        if operation is None:
-                            handle.state = done
-                            if observed and self._hook is not None:
-                                self._hook(time, handle.name, "done", None)
-                            break
-                        if handle.state is killed:
-                            break
-                        ocls = operation.__class__
-                        if ocls is Read:
-                            if trusted:
-                                handle.state = _BLOCKED_READ
-                                handle.pending_op = operation
-                                if observed:
-                                    note_block(
-                                        handle, "block_read",
-                                        operation.channel.name,
-                                    )
-                                retry_at = operation.retry_at
-                                if retry_at is None:
-                                    operation.channel.park_reader(
-                                        operation.index, handle
-                                    )
-                                else:
-                                    self._push_event(
-                                        retry_at,
-                                        RetryEvent(handle, operation),
-                                    )
-                                break
-                            status, payload = operation.poll(
-                                operation.index, time
-                            )
-                            if status == "ok":
-                                value = payload
-                                continue
-                            handle.state = _BLOCKED_READ
-                            handle.pending_op = operation
-                            if observed:
-                                note_block(
-                                    handle, "block_read",
-                                    operation.channel.name,
-                                )
-                            if status == "wait":
-                                self._push_event(
-                                    payload, RetryEvent(handle, operation)
-                                )
-                            elif status == "empty":
-                                operation.channel.park_reader(
-                                    operation.index, handle
-                                )
-                            else:  # pragma: no cover - contract violation
-                                raise ProtocolError(
-                                    f"bad poll_read status {status!r}"
-                                )
-                            break
-                        if ocls is Write:
-                            if trusted:
-                                handle.state = _BLOCKED_WRITE
-                                handle.pending_op = operation
-                                if observed:
-                                    note_block(
-                                        handle, "block_write",
-                                        operation.channel.name,
-                                    )
-                                operation.channel.park_writer(
-                                    operation.index, handle
-                                )
-                                break
-                            status, _ = operation.poll(
-                                operation.index, operation.token, time
-                            )
-                            if status == "ok":
-                                value = None
-                                continue
-                            if status == "full":
-                                handle.state = _BLOCKED_WRITE
-                                handle.pending_op = operation
-                                if observed:
-                                    note_block(
-                                        handle, "block_write",
-                                        operation.channel.name,
-                                    )
-                                operation.channel.park_writer(
-                                    operation.index, handle
-                                )
-                            else:  # pragma: no cover - contract violation
-                                raise ProtocolError(
-                                    f"bad poll_write status {status!r}"
-                                )
-                            break
-                        if ocls is Delay:
-                            handle.state = _DELAYED
-                            handle.pending_op = operation
-                            if observed and self._hook is not None:
-                                self._hook(
-                                    time, handle.name, "compute",
-                                    operation.duration,
-                                )
-                            sequence = self._sequence + 1
-                            self._sequence = sequence
-                            cal_push(
-                                (
-                                    time + operation.duration,
-                                    sequence,
-                                    handle.resume_event,
-                                )
-                            )
-                            break
-                        if ocls is Halt:
-                            handle.state = done
-                            generator = handle.generator
-                            if generator is not None:
-                                generator.close()
-                            if observed and self._hook is not None:
-                                self._hook(time, handle.name, "done", None)
-                            break
-                        raise ProtocolError(
-                            f"process {handle.name} yielded unknown "
-                            f"operation {operation!r}"
-                        )
-                if events == event_limit:
-                    stats.halted_on_limit = True
-                    break
-        finally:
-            self._event_count += events
-            if self._metrics is not None:
-                self._m_events.inc(events)
-                self._m_runq_wakes.inc(runq_fired)
-                self._m_heap_events.inc(events - runq_fired)
-        return events
-
-    def _dispatch_event(self, event: Any) -> None:
-        """Fire one typed event via the jump table.
-
-        The compiled kernel's callback for the cold event kinds
-        (Start/Retry/Callback); keeps the dispatch dict private to this
-        module.
-        """
-        _JUMP_TABLE[event.__class__](self, event)
-
-    def _drive_heap_ckernel(
-        self, stats: RunStats, time_limit: float, event_limit: int
-    ) -> int:
-        """Heap drive via the compiled kernel (stepped mode only).
-
-        The C loop mirrors :meth:`_drive_heap_stepped` exactly but only
-        handles unobserved runs; with a transition hook or metrics
-        registry active — from the start, or enabled by a mid-run
-        callback (the ``bail`` flag) — the pure loop takes over with
-        the remaining event budget.  Event order and traces are
-        byte-identical either way.
-        """
-        if self._observed or self._metrics is not None:
-            return self._drive_heap_stepped(stats, time_limit, event_limit)
-        events, halted, bail = _kernel.DRIVE(self, time_limit, event_limit)
-        if halted:
-            stats.halted_on_limit = True
-        elif bail:
-            remaining = -1 if event_limit < 0 else event_limit - events
-            if remaining != 0:
-                events += self._drive_heap_stepped(
-                    stats, time_limit, remaining
-                )
-        return events
-
-    # -- partitioned batch advance -----------------------------------------
-
-    def _drive_partitioned(
-        self, stats: RunStats, time_limit: float, event_limit: int
-    ) -> int:
-        """Advance independent subnetwork partitions in bursts.
-
-        Partitions (connected components over shared channels) never
-        exchange tokens, so their event streams are causally
-        independent: firing all of partition 0's events up to a
-        synchronisation point, then all of partition 1's, produces the
-        same per-partition — and therefore per-channel — event order as
-        the fully interleaved engine.  Synchronisation points are the
-        events that *can* couple partitions: global
-        :class:`CallbackEvent` actions (fault injections, ``schedule()``
-        callbacks may touch any process) and the run horizon.  The rule:
-        no partition event at ``(time, seq)`` at or after a pending
-        callback's ``(time, seq)`` fires until every partition has been
-        advanced to that callback and the callback has run.
-
-        Each partition owns a :class:`CalendarQueue` and a direct-handoff
-        run queue; ``self._cal`` / ``self._runq`` are pointed at the
-        active partition's structures for the duration of its burst so
-        every scheduling path (``_push_event``, the ``Delay`` fast path,
-        :meth:`retry`) routes into the right partition without per-call
-        tests.  Pending entries spill back to the plain heap on exit so
-        ``step()`` and inspection keep working.
-        """
-        handles = list(self._handles.values())
-        owners = [
-            h.owner if h.owner is not None else h for h in handles
-        ]
-        groups = partition_processes(owners)
-        part_of: Dict[str, int] = {}
-        chan_part: Dict[int, int] = {}
-        for pid, group in enumerate(groups):
-            for i in group:
-                part_of[handles[i].name] = pid
-                for channel in endpoint_channels(owners[i]):
-                    chan_part[id(channel)] = pid
-        queues: List[CalendarQueue] = [CalendarQueue() for _ in groups]
-        runqs: List[Deque] = [deque() for _ in groups]
-        nows: List[float] = [self._now for _ in groups]
-        #: Global synchronisation events, ordered by (time, sequence).
-        barriers: List[Tuple[float, int, Any]] = []
-
-        def route(entry: Tuple[float, int, Any]) -> None:
-            event = entry[2]
-            if event.__class__ is CallbackEvent:
-                _heappush(barriers, entry)
-                return
-            name = event.handle.name
-            pid = part_of.get(name)
-            if pid is None:
-                pid = self._adopt_partition(
-                    name, part_of, chan_part, queues, runqs, nows
-                )
-            queues[pid].push(entry)
-
-        for entry in self._heap:
-            route(entry)
-        self._heap = []
-        for entry in self._runq:
-            runqs[part_of[entry[2].name]].append(entry)
-        self._runq.clear()
-
-        metrics = self._metrics
-        part_counters = (
-            [
-                metrics.counter(f"sim.partition.{pid}.events")
-                for pid in range(len(groups))
-            ]
-            if metrics is not None
-            else None
-        )
-        saved_runq = self._runq
-        events = 0
-        limited = False
-        try:
-            while True:
-                if barriers and barriers[0][0] <= time_limit:
-                    barrier_time, barrier_seq, _ = barriers[0]
-                    fire_barrier = True
-                else:
-                    barrier_time, barrier_seq = time_limit, None
-                    fire_barrier = False
-                pid = 0
-                while pid < len(queues):
-                    self._cal = queues[pid]
-                    self._runq = runqs[pid]
-                    self._now = nows[pid]
-                    fired = self._burst(
-                        queues[pid],
-                        runqs[pid],
-                        barrier_time,
-                        barrier_seq,
-                        -1 if event_limit < 0 else event_limit - events,
-                    )
-                    nows[pid] = self._now
-                    events += fired
-                    if part_counters is not None:
-                        if pid >= len(part_counters):
-                            part_counters.extend(
-                                metrics.counter(f"sim.partition.{q}.events")
-                                for q in range(len(part_counters),
-                                               len(queues))
-                            )
-                        part_counters[pid].inc(fired)
-                    if events == event_limit:
-                        limited = True
-                        break
-                    pid += 1
-                if limited:
-                    stats.halted_on_limit = True
-                    break
-                if not fire_barrier:
-                    break
-                # Every partition has reached the barrier: fire the
-                # global callback with scheduling staged, then route
-                # whatever it produced.
-                entry = heapq.heappop(barriers)
-                self._now = barrier_time
-                nows = [max(t, barrier_time) for t in nows]
-                self._cal = None
-                self._heap = []
-                self._runq = deque()
-                entry[2].action()
-                events += 1
-                staged, self._heap = self._heap, []
-                for staged_entry in staged:
-                    route(staged_entry)
-                for staged_entry in self._runq:
-                    handle = staged_entry[2]
-                    runqs[part_of[handle.name]].append(staged_entry)
-                if events == event_limit:
-                    stats.halted_on_limit = True
-                    break
-        finally:
-            self._cal = None
-            self._runq = saved_runq
-            self._runq.clear()
-            heap: List[Tuple[float, int, Any]] = []
-            for queue in queues:
-                heap.extend(queue.drain())
-            heap.extend(barriers)
-            heapq.heapify(heap)
-            self._heap = heap
-            pending_wakes = sorted(
-                (entry for runq in runqs for entry in runq),
-                key=lambda e: (e[0], e[1]),
-            )
-            self._runq.extend(pending_wakes)
-            self._now = max(nows) if nows else self._now
-            self._event_count += events
-            if metrics is not None:
-                self._m_events.inc(events)
-        return events
-
-    def _adopt_partition(
-        self,
-        name: str,
-        part_of: Dict[str, int],
-        chan_part: Dict[int, int],
-        queues: List[CalendarQueue],
-        runqs: List[Deque],
-        nows: List[float],
-    ) -> int:
-        """Place a process registered mid-run into a partition.
-
-        A late arrival (e.g. a callback registering a monitor) joins the
-        partition it shares a channel with; with no shared channel it
-        becomes a new singleton partition.  Spanning two existing
-        partitions would couple them — that graph cannot be batch
-        advanced, so it is a hard error rather than a silent trace
-        divergence.
-        """
-        handle = self._handles[name]
-        owner = handle.owner if handle.owner is not None else handle
-        channels = endpoint_channels(owner)
-        pids = {
-            chan_part[id(c)] for c in channels if id(c) in chan_part
-        }
-        if len(pids) > 1:
-            raise SimulationError(
-                f"process {name} registered mid-run spans partitions "
-                f"{sorted(pids)}; partitioned execution requires "
-                "independent subnetworks"
-            )
-        if pids:
-            pid = pids.pop()
-        else:
-            pid = len(queues)
-            queues.append(CalendarQueue())
-            runqs.append(deque())
-            nows.append(self._now)
-        part_of[name] = pid
-        for channel in channels:
-            chan_part.setdefault(id(channel), pid)
-        return pid
-
-    def _burst(
-        self,
-        cal: CalendarQueue,
-        runq: Deque,
-        barrier_time: float,
-        barrier_seq: Optional[int],
-        budget: int,
-    ) -> int:
-        """Fire one partition's events up to the synchronisation point.
-
-        Fires every pending entry with ``time <= barrier_time`` (horizon
-        barrier, ``barrier_seq is None``) or ``(time, seq) <
-        (barrier_time, barrier_seq)`` (callback barrier) — exactly the
-        entries the interleaved engine would have fired before the
-        barrier event.  Returns the number of events fired; stops early
-        when ``budget`` (>= 0) is exhausted.
-        """
-        jump = _JUMP_TABLE
-        advance = self._advance
-        reattempt = self._reattempt
-        events = 0
-        while cal or runq:
-            if runq:
-                entry = runq[0]
-                if cal:
-                    top = cal.peek()
-                    if top[0] < entry[0] or (
-                        top[0] == entry[0] and top[1] < entry[1]
-                    ):
-                        entry = top
-                        from_runq = False
-                    else:
-                        from_runq = True
-                else:
-                    from_runq = True
-            else:
-                entry = cal.peek()
-                from_runq = False
-            time = entry[0]
-            if time > barrier_time or (
-                barrier_seq is not None
-                and time == barrier_time
-                and entry[1] >= barrier_seq
-            ):
-                break
-            if events == budget:
-                break
-            self._now = time
-            events += 1
-            if from_runq:
-                runq.popleft()
-                handle = entry[2]
-                handle.wake_scheduled = False
-                operation = handle.pending_op
-                if operation is not None:
-                    reattempt(handle, operation)
-            else:
-                cal.pop()
-                event = entry[2]
-                cls = event.__class__
-                if cls is ResumeEvent:
-                    advance(event.handle, None)
-                else:
-                    jump[cls](self, event)
         return events
 
     def step(self) -> bool:
@@ -1615,9 +619,9 @@ class Simulator:
                     raise ProtocolError(f"bad poll_write status {status!r}")
                 return
             if cls is Delay:
-                # Inlined _push_event: Delay validates duration >= 0 at
-                # construction, so the target instant can never precede
-                # the current one — no past-scheduling check needed.
+                # Inlined _push_event: Delay validates a finite duration
+                # >= 0 at construction, so the target instant can never
+                # precede the current one — no past-scheduling check.
                 handle.state = _DELAYED
                 handle.pending_op = operation
                 if observed and self._hook is not None:
@@ -1625,114 +629,18 @@ class Simulator:
                         now, handle.name, "compute", operation.duration
                     )
                 self._sequence += 1
-                entry = (
-                    now + operation.duration,
-                    self._sequence,
-                    handle.resume_event,
+                _heappush(
+                    self._heap,
+                    (
+                        now + operation.duration,
+                        self._sequence,
+                        handle.resume_event,
+                    ),
                 )
-                cal = self._cal
-                if cal is None:
-                    _heappush(self._heap, entry)
-                else:
-                    cal.push(entry)
                 return
             if cls is Halt:
                 handle.state = _DONE
                 handle.generator.close()
-                if observed and self._hook is not None:
-                    self._hook(self._now, handle.name, "done", None)
-                return
-            raise ProtocolError(
-                f"process {handle.name} yielded unknown operation "
-                f"{operation!r}"
-            )
-
-    def _advance_stepped(self, handle: ProcessHandle, value: Any) -> None:
-        """Stepped-mode twin of :meth:`_advance`.
-
-        Identical control flow with ``generator.send`` replaced by the
-        compiled ``step(value, now)`` call; a ``None`` return is the
-        ``StopIteration`` analogue.  Kept as a separate method (selected
-        once at construction) so neither mode pays a per-resumption mode
-        test.
-        """
-        state = handle.state
-        if state is _DONE or state is _KILLED:
-            return
-        stepfn = handle.stepfn
-        killed = _KILLED
-        observed = self._observed
-        now = self._now
-        while True:
-            operation = stepfn(value, now)
-            if operation is None:
-                handle.state = _DONE
-                if observed and self._hook is not None:
-                    self._hook(now, handle.name, "done", None)
-                return
-            if handle.state is killed:
-                return
-            cls = operation.__class__
-            if cls is Read:
-                status, payload = operation.poll(operation.index, now)
-                if status == "ok":
-                    value = payload
-                    continue
-                handle.state = _BLOCKED_READ
-                handle.pending_op = operation
-                if observed:
-                    self._note_block(
-                        handle, "block_read", operation.channel.name
-                    )
-                if status == "wait":
-                    self._push_event(payload, RetryEvent(handle, operation))
-                elif status == "empty":
-                    operation.channel.park_reader(operation.index, handle)
-                else:  # pragma: no cover - channel contract violation
-                    raise ProtocolError(f"bad poll_read status {status!r}")
-                return
-            if cls is Write:
-                status, _ = operation.poll(
-                    operation.index, operation.token, now
-                )
-                if status == "ok":
-                    value = None
-                    continue
-                if status == "full":
-                    handle.state = _BLOCKED_WRITE
-                    handle.pending_op = operation
-                    if observed:
-                        self._note_block(
-                            handle, "block_write", operation.channel.name
-                        )
-                    operation.channel.park_writer(operation.index, handle)
-                else:  # pragma: no cover - channel contract violation
-                    raise ProtocolError(f"bad poll_write status {status!r}")
-                return
-            if cls is Delay:
-                handle.state = _DELAYED
-                handle.pending_op = operation
-                if observed and self._hook is not None:
-                    self._hook(
-                        now, handle.name, "compute", operation.duration
-                    )
-                self._sequence += 1
-                entry = (
-                    now + operation.duration,
-                    self._sequence,
-                    handle.resume_event,
-                )
-                cal = self._cal
-                if cal is None:
-                    _heappush(self._heap, entry)
-                else:
-                    cal.push(entry)
-                return
-            if cls is Halt:
-                handle.state = _DONE
-                generator = handle.generator
-                if generator is not None:
-                    generator.close()
                 if observed and self._hook is not None:
                     self._hook(self._now, handle.name, "done", None)
                 return
@@ -1771,7 +679,6 @@ class Simulator:
 #: than the two-step ``ProcessState.X`` attribute chain.
 _DONE = ProcessState.DONE
 _KILLED = ProcessState.KILLED
-_RUNNING = ProcessState.RUNNING
 _BLOCKED_READ = ProcessState.BLOCKED_READ
 _BLOCKED_WRITE = ProcessState.BLOCKED_WRITE
 _DELAYED = ProcessState.DELAYED
@@ -1785,23 +692,3 @@ _JUMP_TABLE = {
     CallbackEvent: Simulator._fire_callback,
 }
 
-#: Hand the optional compiled kernel the classes its drive loop
-#: dispatches on (``None`` when the extension is absent or disabled via
-#: ``REPRO_PURE_KERNEL=1`` — the pure loops then run unconditionally).
-_kernel.configure(
-    {
-        "ResumeEvent": ResumeEvent,
-        "RetryEvent": RetryEvent,
-        "Read": Read,
-        "Write": Write,
-        "Delay": Delay,
-        "Halt": Halt,
-        "DONE": _DONE,
-        "KILLED": _KILLED,
-        "BLOCKED_READ": _BLOCKED_READ,
-        "BLOCKED_WRITE": _BLOCKED_WRITE,
-        "DELAYED": _DELAYED,
-        "ProtocolError": ProtocolError,
-        "SimulationError": SimulationError,
-    }
-)

@@ -150,27 +150,6 @@ def build_trace_events(obs) -> List[dict]:
                 "args": {"value": value},
             })
 
-    # Partitioned-engine event counters (``sim.partition.<i>.events``)
-    # carry one final value, not a series: render each as a two-point
-    # counter track (0 at run start, total at end of run) so Perfetto
-    # shows per-partition load side by side with the channel telemetry.
-    for name in obs.registry.names():
-        counter = obs.registry.get(name)
-        if getattr(counter, "kind", None) != "counter":
-            continue
-        if not (name.startswith("sim.partition.")
-                and name.endswith(".events")):
-            continue
-        _counter_meta()
-        for time, value in ((0.0, 0), (end_of_run, counter.value)):
-            events.append({
-                "name": name,
-                "ph": "C",
-                "pid": PID_COUNTERS,
-                "ts": time * _MS,
-                "args": {"value": value},
-            })
-
     # -- fault markers ------------------------------------------------------
     for mark in timeline.injections:
         events.append(_instant(

@@ -27,6 +27,7 @@ from repro.campaign.scenario import (
     Scenario,
     SyntheticModels,
 )
+from repro.exec.taskspec import TaskSpecError
 from repro.faults.models import FAIL_STOP, FaultSpec
 from repro.rtc.pjd import PJD
 
@@ -159,6 +160,17 @@ class TestRecovery:
         path.write_text(json.dumps(document))
         with pytest.raises(ReproducerError, match="duplicated"):
             load_reproducer(path)
+
+    def test_v3_task_spec_with_exec_mode_rejected(self, tmp_path):
+        # A reproducer written before TaskSpec schema v4 still carries
+        # the removed engine-mode field in its expanded task pair.
+        path = self._saved(tmp_path)
+        document = json.loads(path.read_text())
+        document["tasks"]["reference"]["exec_mode"] = "stepped"
+        path.write_text(json.dumps(document))
+        with pytest.raises(ReproducerError, match="exec_mode") as error:
+            load_reproducer(path)
+        assert isinstance(error.value.__cause__, TaskSpecError)
 
     def test_non_integer_campaign_seed(self, tmp_path):
         path = self._saved(tmp_path)

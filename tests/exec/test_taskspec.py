@@ -184,54 +184,3 @@ class TestSizingGroup:
         unsized = TaskSpec.reference(app, 50, 7)
         sized = TaskSpec.reference(app, 50, 7, sizing=app.sizing())
         assert unsized.sizing_group() != sized.sizing_group()
-
-
-class TestExecMode:
-    def test_default_is_stepped(self, app):
-        assert TaskSpec.reference(app, 10, 1).exec_mode == "stepped"
-        assert TaskSpec.duplicated(app, 10, 1).exec_mode == "stepped"
-
-    def test_unknown_exec_mode_rejected(self, app):
-        with pytest.raises(TaskSpecError):
-            TaskSpec.reference(app, 10, 1, exec_mode="vectorized")
-
-    def test_exec_mode_participates_in_digest(self, app):
-        stepped = TaskSpec.reference(app, 10, 1, exec_mode="stepped")
-        generator = TaskSpec.reference(app, 10, 1, exec_mode="generator")
-        assert stepped.digest() != generator.digest()
-
-    def test_exec_mode_survives_json_round_trip(self, app):
-        from repro.exec.taskspec import spec_from_jsonable, spec_to_jsonable
-
-        spec = TaskSpec.duplicated(app, 10, 1, exec_mode="generator")
-        again = spec_from_jsonable(spec_to_jsonable(spec))
-        assert again.exec_mode == "generator"
-        assert again.digest() == spec.digest()
-
-    def test_modes_produce_identical_task_results(self):
-        """Execution mode is an engine implementation detail: the same
-        spec under either core yields the same observable outcome.
-
-        Only the determinism-policy-protected fields must agree — the
-        overhead reports may differ because the cost model charges every
-        *poll attempt* and the self-polling step machines poll channels
-        on a different (equally correct) schedule.  That accounting
-        sensitivity is exactly why ``exec_mode`` participates in the
-        cache digest.
-        """
-        from repro.exec.worker import execute_task
-
-        synth = SyntheticApp(seed=9)
-        sizing = synth.sizing()
-        stepped = execute_task(
-            TaskSpec.duplicated(synth, 25, 4, sizing=sizing,
-                                exec_mode="stepped"))
-        generator = execute_task(
-            TaskSpec.duplicated(synth, 25, 4, sizing=sizing,
-                                exec_mode="generator"))
-        for field in ("value_hashes", "times", "inter_arrival", "stalls",
-                      "max_fills", "detections", "selector_drops",
-                      "latency_selector", "latency_replicator"):
-            assert getattr(stepped, field) == getattr(generator, field), (
-                field
-            )

@@ -251,3 +251,106 @@ class TestDeterminism:
             return [tuple(t.wakes) for t in tickers]
 
         assert run_once() == run_once()
+
+
+def _pipeline():
+    """A jittered source feeding a consumer through a 4-slot FIFO."""
+    from repro.kpn.network import Network
+    from repro.kpn.process import PeriodicConsumer, PeriodicSource
+    from repro.rtc.pjd import PJD
+
+    net = Network("resume")
+    src = net.add_process(PeriodicSource("P", PJD(1.0, 0.1, 1.0), 50, seed=3))
+    snk = net.add_process(
+        PeriodicConsumer("C", PJD(1.0, 0.1, 1.0), 50, seed=5)
+    )
+    fifo = net.add_fifo("f", 4)
+    src.output = fifo.writer
+    snk.input = fifo.reader
+    return snk, net.instantiate()
+
+
+class TestResume:
+    """A run cut short by ``until`` or ``max_events`` leaves its pending
+    events queued; the next ``run()`` continues exactly where it left
+    off, as if the run had never been split."""
+
+    def test_split_on_max_events_matches_one_run(self):
+        snk_split, sim_split = _pipeline()
+        first = sim_split.run(max_events=40)
+        assert first.halted_on_limit
+        second = sim_split.run()
+
+        snk_whole, sim_whole = _pipeline()
+        whole = sim_whole.run()
+
+        assert snk_split.tokens == snk_whole.tokens
+        assert first.events + second.events == whole.events
+        assert second.end_time == whole.end_time
+
+    def test_split_on_until_resumes_pending_events_in_order(self):
+        sim = Simulator()
+        order = []
+        for time, label in ((3.0, "c"), (1.0, "a"), (3.0, "d"), (2.0, "b"),
+                            (7.0, "e")):
+            sim.schedule_at(time, lambda label=label: order.append(label))
+        stats = sim.run(until=2.5)
+        assert order == ["a", "b"]
+        assert stats.events == 2 and not stats.halted_on_limit
+        sim.run()
+        assert order == ["a", "b", "c", "d", "e"]
+        assert sim.now == 7.0
+
+    def test_step_after_partial_run_continues(self):
+        snk_split, sim_split = _pipeline()
+        sim_split.run(max_events=25)
+        while sim_split.step():
+            pass
+        snk_whole, sim_whole = _pipeline()
+        sim_whole.run()
+        assert snk_split.tokens == snk_whole.tokens
+        assert sim_split.event_count == sim_whole.event_count
+
+
+class TestInputValidation:
+    def test_max_events_zero_fires_nothing(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append(1))
+        stats = sim.run(max_events=0)
+        assert stats.events == 0
+        assert stats.halted_on_limit is True
+        assert fired == [] and sim.now == 0.0
+        sim.run()
+        assert fired == [1]
+
+    def test_negative_max_events_rejected(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        with pytest.raises(ValueError, match="max_events"):
+            sim.run(max_events=-1)
+        assert sim.event_count == 0
+
+    @pytest.mark.parametrize("until", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_until_rejected(self, until):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        with pytest.raises(ValueError, match="until"):
+            sim.run(until=until)
+        assert sim.event_count == 0
+
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf")])
+    def test_non_finite_delay_rejected(self, duration):
+        with pytest.raises(ValueError):
+            Delay(duration)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_schedule_rejected(self, value):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.schedule(value, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_at(value, lambda: None)
+        assert sim.run().events == 0
+        assert sim.now == 0.0

@@ -105,51 +105,3 @@ class TestContainer:
         trace = build_chrome_trace(Observability())
         json.dumps(trace)
         assert all(e["ph"] == "M" for e in trace["traceEvents"])
-
-
-class TestPartitionCounters:
-    def test_partition_event_counters_become_counter_tracks(self):
-        obs = _observed_run()
-        obs.registry.counter("sim.partition.0.events").inc(120)
-        obs.registry.counter("sim.partition.1.events").inc(80)
-        obs.registry.counter("sim.events").inc(200)  # not a track
-        events = build_trace_events(obs)
-        tracks = {}
-        for event in events:
-            if event.get("ph") == "C" and event["name"].startswith(
-                "sim.partition."
-            ):
-                tracks.setdefault(event["name"], []).append(event)
-        assert set(tracks) == {"sim.partition.0.events",
-                               "sim.partition.1.events"}
-        for name, points in tracks.items():
-            assert [p["args"]["value"] for p in points] == [
-                0, 120 if name.endswith("0.events") else 80
-            ]
-            assert all(p["pid"] == PID_COUNTERS for p in points)
-            # Final sample sits at the end-of-run instant (7 ms -> µs).
-            assert points[-1]["ts"] == 7000.0
-        # Plain counters that aren't partition tracks stay out.
-        assert not any(e.get("name") == "sim.events" for e in events
-                       if e.get("ph") == "C")
-
-    def test_partitioned_run_exports_partition_tracks(self):
-        # End-to-end: a real partitioned simulation with metrics
-        # attached produces per-partition counter tracks in its trace.
-        from repro.apps.synthetic import SyntheticApp
-        from repro.experiments.runner import run_duplicated
-
-        obs = Observability()
-        run = run_duplicated(SyntheticApp(seed=5), 30, 5, obs=obs,
-                             partitioned=True)
-        partition_counters = [
-            name for name in obs.registry.names()
-            if name.startswith("sim.partition.")
-            and name.endswith(".events")
-        ]
-        assert partition_counters, "partitioned run exposed no counters"
-        events = build_trace_events(obs)
-        track_names = {e["name"] for e in events if e.get("ph") == "C"}
-        for name in partition_counters:
-            assert name in track_names
-        assert run.stats.events > 0

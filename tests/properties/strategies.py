@@ -148,39 +148,3 @@ def interleavings(symbols: int = 3, min_size: int = 1,
         st.integers(min_value=0, max_value=symbols - 1),
         min_size=min_size, max_size=max_size,
     )
-
-
-@st.composite
-def event_times(draw, min_size: int = 0, max_size: int = 60):
-    """Event timestamps for scheduler-order tests.
-
-    Mixes three regimes the calendar queue must bucket correctly:
-    clustered instants (same-time ties resolved by sequence number),
-    short uniform spreads (the bucket sweet spot), and sparse outliers
-    (events far beyond the sampled horizon).
-    """
-    cluster = st.sampled_from([0.0, 1.0, 2.5, 10.0])
-    uniform = st.floats(min_value=0.0, max_value=100.0,
-                        allow_nan=False, allow_infinity=False)
-    sparse = st.floats(min_value=0.0, max_value=1e9,
-                       allow_nan=False, allow_infinity=False)
-    return draw(st.lists(st.one_of(cluster, uniform, sparse),
-                         min_size=min_size, max_size=max_size))
-
-
-@st.composite
-def scheduler_scripts(draw, max_steps: int = 40):
-    """An interleaved push/pop script for a priority-queue implementation.
-
-    Each step is either ``("push", time)`` or ``("pop",)``; the driver
-    supplies monotonically increasing sequence numbers (the engine's
-    invariant) and skips pops on an empty queue.
-    """
-    step = st.one_of(
-        st.tuples(st.just("push"),
-                  st.floats(min_value=0.0, max_value=50.0,
-                            allow_nan=False, allow_infinity=False)),
-        st.tuples(st.just("push"), st.sampled_from([0.0, 1.0, 7.0])),
-        st.tuples(st.just("pop")),
-    )
-    return draw(st.lists(step, min_size=1, max_size=max_steps))
