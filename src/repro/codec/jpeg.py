@@ -11,26 +11,14 @@ what the experiments rely on — is fully deterministic in both directions.
 from __future__ import annotations
 
 import struct
-from typing import List, Tuple
 
 import numpy as np
 
 from repro.codec.bitstream import BitReader, BitWriter
 from repro.codec.blocks import BLOCK, blocks_to_frame, frame_to_blocks
 from repro.codec.dct import dct2, idct2
-from repro.codec.entropy import (
-    read_signed_exp_golomb,
-    read_unsigned_exp_golomb,
-    write_signed_exp_golomb,
-    write_unsigned_exp_golomb,
-)
+from repro.codec.entropy import read_blocks, write_blocks
 from repro.codec.quant import dequantize, quality_scaled_table, quantize
-from repro.codec.zigzag import (
-    inverse_zigzag,
-    run_length_decode,
-    run_length_encode,
-    zigzag,
-)
 
 _HEADER = struct.Struct(">HHB")
 
@@ -50,46 +38,27 @@ class JpegCodec:
             raise ValueError("frame must be uint8")
         height, width = frame.shape
         blocks = frame_to_blocks(frame.astype(np.float64) - 128.0)
-        coefficients = dct2(blocks)
-        levels = quantize(coefficients, self.table)
+        levels = quantize(dct2(blocks), self.table)
         writer = BitWriter()
-        previous_dc = 0
-        for block in levels:
-            scanned = zigzag(block).astype(np.int64)
-            dc = int(scanned[0])
-            write_signed_exp_golomb(writer, dc - previous_dc)
-            previous_dc = dc
-            for run, value in run_length_encode(scanned[1:]):
-                write_unsigned_exp_golomb(writer, run)
-                write_signed_exp_golomb(writer, value)
+        write_blocks(writer, levels)
         return _HEADER.pack(height, width, self.quality) + writer.getvalue()
 
     # -- decoding --------------------------------------------------------------
 
     def decode(self, data: bytes) -> np.ndarray:
         """Decode a byte string back into a uint8 frame."""
+        if len(data) < _HEADER.size:
+            raise ValueError(
+                f"JPEG stream of {len(data)} bytes is shorter than the "
+                f"{_HEADER.size}-byte header"
+            )
         height, width, quality = _HEADER.unpack_from(data)
         table = quality_scaled_table(quality)
         reader = BitReader(data[_HEADER.size:])
         padded_h = height + ((-height) % BLOCK)
         padded_w = width + ((-width) % BLOCK)
         block_count = (padded_h // BLOCK) * (padded_w // BLOCK)
-        blocks = np.zeros((block_count, BLOCK, BLOCK), dtype=np.float64)
-        previous_dc = 0
-        for index in range(block_count):
-            dc = previous_dc + read_signed_exp_golomb(reader)
-            previous_dc = dc
-            pairs: List[Tuple[int, int]] = []
-            while True:
-                run = read_unsigned_exp_golomb(reader)
-                value = read_signed_exp_golomb(reader)
-                pairs.append((run, value))
-                if run == 0 and value == 0:
-                    break
-            vector = np.concatenate(
-                ([float(dc)], run_length_decode(pairs, BLOCK * BLOCK - 1))
-            )
-            levels = inverse_zigzag(vector)
-            blocks[index] = idct2(dequantize(levels, table))
+        levels = read_blocks(reader, block_count)
+        blocks = idct2(dequantize(levels, table))
         frame = blocks_to_frame(blocks, (height, width)) + 128.0
         return np.clip(np.round(frame), 0, 255).astype(np.uint8)

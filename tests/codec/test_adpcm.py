@@ -77,3 +77,36 @@ class TestAdpcmCodec:
         block = np.full(600, 12000, dtype=np.int16)
         decoded = codec.roundtrip_block(block)
         assert abs(int(decoded[-1]) - 12000) < 400
+
+
+class TestMalformedInput:
+    def test_short_code_buffer_rejected(self):
+        with pytest.raises(ValueError, match="need 2 bytes"):
+            AdpcmCodec().decode_block(b"\x12", 3)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="count"):
+            AdpcmCodec().decode_block(b"\x12", -1)
+
+    def test_out_of_range_samples_rejected(self):
+        with pytest.raises(ValueError, match="int16"):
+            AdpcmCodec().encode_block([40000, -40000])
+        with pytest.raises(ValueError, match="int16"):
+            AdpcmCodec().encode_block([0, -32769])
+
+    def test_two_dimensional_input_rejected(self):
+        with pytest.raises(ValueError, match="1-D"):
+            AdpcmCodec().encode_block(np.zeros((4, 4), dtype=np.int16))
+
+    def test_empty_block_roundtrips(self):
+        codec = AdpcmCodec()
+        assert codec.encode_block(np.zeros(0, dtype=np.int16)) == b""
+        decoded = codec.decode_block(b"", 0)
+        assert decoded.shape == (0,) and decoded.dtype == np.int16
+
+    def test_trailing_code_bytes_ignored(self):
+        codec = AdpcmCodec()
+        block = sine_block(10)
+        encoded = codec.encode_block(block)
+        assert np.array_equal(codec.decode_block(encoded + b"\xff", 10),
+                              codec.decode_block(encoded, 10))

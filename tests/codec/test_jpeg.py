@@ -73,3 +73,7 @@ class TestJpegCodec:
         # Any codec instance can decode: quality travels in the header.
         decoded = JpegCodec(quality=95).decode(encoded)
         assert decoded.shape == frame.shape
+
+    def test_truncated_header_rejected(self):
+        with pytest.raises(ValueError, match="header"):
+            JpegCodec().decode(b"\x00\x08")
