@@ -9,6 +9,7 @@ import numpy as np
 
 from repro.apps.sources import SyntheticVideo
 from repro.codec.adpcm import AdpcmCodec
+from repro.codec.h264 import H264Encoder
 from repro.codec.jpeg import JpegCodec
 from repro.core.replicator import ReplicatorChannel
 from repro.core.selector import SelectorChannel
@@ -252,6 +253,18 @@ def test_jpeg_decode_throughput(benchmark):
     encoded = codec.encode(frame)
     decoded = benchmark(codec.decode, encoded)
     assert decoded.shape == frame.shape
+
+
+def test_h264_encode_gop_throughput(benchmark):
+    video = SyntheticVideo(96, 72, seed=0)
+    frames = [video.frame(index) for index in range(8)]
+
+    def encode_gop():
+        encoder = H264Encoder(96, 72, gop=8)
+        return [encoder.encode_frame(frame) for frame in frames]
+
+    units = benchmark(encode_gop)
+    assert [unit[5] for unit in units] == [0] + [1] * 7  # one I, seven P
 
 
 def test_adpcm_roundtrip_throughput(benchmark):
