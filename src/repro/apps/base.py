@@ -78,7 +78,7 @@ class StreamingApplication:
                context=None) -> SizingResult:
         """Run the Section 3.4 computation for this application.
 
-        ``context`` (a :class:`~repro.rtc.sizing.SolverContext`) warm-starts
+        ``context`` (a :class:`~repro.rtc.sizing.SolverContext`) memoises
         the curve solvers across repeated sizings — batch spec builders
         share one context per sweep.  Results are identical either way.
         """

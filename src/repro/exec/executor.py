@@ -24,7 +24,7 @@ Before anything executes, the batch is **scheduled**:
    their duplicates) never reach the pool.
 3. *Parallel presolve* — specs still lacking a solved sizing are fanned
    across the pool (:func:`~repro.exec.worker.presolve_chunk`), sharing
-   per-worker warm-start hints, instead of solving serially in the
+   per-worker solver memos, instead of solving serially in the
    parent.  Digests are always computed from the *original* specs, so
    presolving never perturbs cache keys.
 4. *Sizing-group ordering + adaptive chunking* — tasks are ordered so

@@ -468,9 +468,9 @@ def presolve_sizings(specs, context=None):
     Returns a new spec list; specs already carrying a sizing (e.g.
     ablation overrides) pass through untouched.  All solves share one
     :class:`~repro.rtc.sizing.SolverContext` — repeated interface-model
-    tuples across a sweep hit its memo, and near-identical tuples
-    warm-start the curve solvers — so the batch costs far less than
-    per-spec cold solves while producing bit-identical results.  Workers
+    tuples and curve pairs across a sweep hit its memos — so the batch
+    costs far less than per-spec cold solves while producing
+    bit-identical results.  Workers
     then never run the solver at all.
 
     Pass an explicit ``context`` to accumulate warm state (and hit/miss

@@ -47,8 +47,7 @@ def worker_solver_context():
     Created on first use and kept for the life of the process, so a
     pool worker that survives across chunks — and, with the persistent
     :class:`~repro.exec.pool.WorkerPool`, across whole sweep batches —
-    accumulates solver memos and warm-start hints instead of solving
-    cold each time.  Warm solves are bit-identical to cold ones (pinned
+    accumulates solver memos instead of solving cold each time.  Warm solves are bit-identical to cold ones (pinned
     by the parallel-identity suite), so this is invisible to results.
     """
     global _SOLVER_CONTEXT
@@ -101,7 +100,7 @@ def presolve_chunk(indexed_specs: Sequence[Tuple[int, TaskSpec]]):
     point for parallel presolve).
 
     Uses this worker's persistent :func:`worker_solver_context`, so the
-    warm-start hints one solve leaves behind are shared by the next —
+    memo entries one solve leaves behind are shared by the next —
     within this chunk and with every later chunk the worker handles.
     Only the solved :class:`~repro.rtc.sizing.SizingResult` travels
     back (sizings are small; shipping re-specs would be redundant).

@@ -5,14 +5,14 @@ The Section 3.4 solvers lean on three layers of memoisation:
 * the ``lru_cache``\\ d curve operators in :mod:`repro.rtc.minplus`
   (min-plus/max-plus convolution and deconvolution);
 * the ``lru_cache``\\ d PJD curve constructors in :mod:`repro.rtc.pjd`;
-* the full-sizing cache and (optionally) a warm-start
+* the full-sizing cache and (optionally) a per-sweep
   :class:`~repro.rtc.sizing.SolverContext` in :mod:`repro.rtc.sizing`.
 
 :func:`record_rtc_cache_gauges` snapshots every layer's ``cache_info()``
 hit/miss/size numbers into ``rtc.cache.*`` gauges on a
 :class:`~repro.obs.metrics.MetricsRegistry`, so run reports answer "did
 the sweep actually reuse solver work, or did it solve cold?".  Pass a
-``SolverContext`` to additionally publish its warm-start counters under
+``SolverContext`` to additionally publish its memo counters under
 ``rtc.ctx.*``.
 """
 
@@ -68,7 +68,7 @@ def record_rtc_cache_gauges(registry, context=None) -> None:
     gauges exist to answer.
 
     When ``context`` (a :class:`~repro.rtc.sizing.SolverContext`) is
-    given, its per-sweep warm-start counters are published under
+    given, its per-sweep memo counters are published under
     ``rtc.ctx.*`` as well.
 
     A disabled registry makes every call a no-op (null instruments).

@@ -17,7 +17,10 @@ analysis - the SymTA/S approach"):
 * lower:  ``alpha_l(delta) = max( floor((delta - j) / p), 0 )``.
 
 Both are staircases; breakpoints are enumerable exactly, which the solvers
-in :mod:`repro.rtc.curves` rely on.
+in :mod:`repro.rtc.curves` rely on.  Each curve evaluates one window length
+with :meth:`~repro.rtc.curves.Curve.value` and a whole array with
+:meth:`~repro.rtc.curves.Curve.values`; the array form applies the same
+IEEE-754 operations in the same order, so both agree bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +30,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import List
 
-from repro.rtc.curves import EPS, NUDGE, Curve
+import numpy as np
+
+from repro.rtc.curves import EPS, NUDGE, Curve, _sorted_unique
 
 
 def _ceil(value: float) -> int:
@@ -38,6 +43,22 @@ def _ceil(value: float) -> int:
 def _floor(value: float) -> int:
     """Floor with a tolerance so that 2.9999999999 -> 3, not 2."""
     return int(math.floor(value + EPS))
+
+
+def _multiples(start: int, step: float, offset: float,
+               horizon: float) -> np.ndarray:
+    """``k * step + offset`` for ``k = start, start + 1, ...`` while the
+    point stays within ``horizon + EPS``."""
+    stop = math.floor((horizon + EPS - offset) / step) + 2
+    points = np.arange(start, max(stop, start), dtype=np.float64) * step
+    points += offset
+    return points[points <= horizon + EPS]
+
+
+def _clamp_count(deltas: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """Zero for empty windows and negative bounds, like ``max(bound, 0)``
+    in the scalar forms (and never ``-0.0``)."""
+    return np.where((deltas > EPS) & (bound > 0.0), bound, 0.0)
 
 
 @dataclass(frozen=True)
@@ -154,30 +175,30 @@ class PJDUpperCurve(Curve):
             bound = min(bound, _ceil(delta / model.min_distance) + 1)
         return float(max(bound, 0))
 
+    def values(self, deltas: np.ndarray) -> np.ndarray:
+        model = self._model
+        bound = np.ceil((deltas + model.jitter) / model.period - EPS)
+        if model.jitter > 0:
+            bound = np.maximum(
+                bound, np.floor(deltas / model.period + EPS) + 1.0
+            )
+        if model.min_distance > 0:
+            bound = np.minimum(
+                bound, np.ceil(deltas / model.min_distance - EPS) + 1.0
+            )
+        return _clamp_count(deltas, bound)
+
     def breakpoints(self, horizon: float) -> List[float]:
         model = self._model
-        points = {0.0}
         # Jumps of ceil((delta + j)/p): delta = k*p - j for integer k.
-        k = max(1, _ceil(self._model.jitter / model.period))
-        while True:
-            point = k * model.period - model.jitter
-            if point > horizon + EPS:
-                break
-            if point > 0:
-                points.add(point)
-            k += 1
+        jumps = _multiples(max(1, _ceil(model.jitter / model.period)),
+                           model.period, -model.jitter, horizon)
+        # The curve jumps from 0 at delta -> 0+, hence the NUDGE point.
+        parts = [jumps[jumps > 0], (0.0, NUDGE)]
         # Jumps of ceil(delta/d) + 1: delta = k*d.
         if model.min_distance > 0:
-            k = 1
-            while True:
-                point = k * model.min_distance
-                if point > horizon + EPS:
-                    break
-                points.add(point)
-                k += 1
-        # The curve jumps from 0 at delta -> 0+.
-        points.add(NUDGE)
-        return sorted(points)
+            parts.append(_multiples(1, model.min_distance, 0.0, horizon))
+        return _sorted_unique(np.concatenate(parts)).tolist()
 
     def long_run_rate(self) -> float:
         return self._model.rate
@@ -212,18 +233,20 @@ class PJDLowerCurve(Curve):
             bound = min(bound, _ceil(delta / model.period) - 1)
         return float(max(bound, 0))
 
+    def values(self, deltas: np.ndarray) -> np.ndarray:
+        model = self._model
+        bound = np.floor((deltas - model.jitter) / model.period + EPS)
+        if model.jitter > 0:
+            bound = np.minimum(
+                bound, np.ceil(deltas / model.period - EPS) - 1.0
+            )
+        return _clamp_count(deltas, bound)
+
     def breakpoints(self, horizon: float) -> List[float]:
         model = self._model
-        points = {0.0}
         # Jumps of floor((delta - j)/p): delta = k*p + j for integer k >= 1.
-        k = 1
-        while True:
-            point = k * model.period + model.jitter
-            if point > horizon + EPS:
-                break
-            points.add(point)
-            k += 1
-        return sorted(points)
+        jumps = _multiples(1, model.period, model.jitter, horizon)
+        return _sorted_unique(np.append(jumps, 0.0)).tolist()
 
     def long_run_rate(self) -> float:
         return self._model.rate

@@ -41,10 +41,10 @@ def _ceil_int(value: float) -> int:
 
 
 class SolverContext:
-    """Warm-start state for repeated RTC solving (sweeps, batch sizing).
+    """Memo state for repeated RTC solving (sweeps, batch sizing).
 
     A sweep sizes hundreds of near-identical interface-model tuples.  A
-    shared context turns that repetition into three layers of reuse:
+    shared context turns that repetition into two layers of reuse:
 
     * **full-result memo** — identical ``size_duplicated_network`` calls
       return a cached :class:`SizingResult` (each caller gets a fresh
@@ -52,13 +52,9 @@ class SolverContext:
     * **supremum memo** — Eq. 3/4/5 suprema are memoised on the curve
       *objects* (identity keys: equal PJD models share curve instances
       via :meth:`repro.rtc.pjd.PJD.upper`/``lower``, and the memo holds
-      strong references so ids cannot be recycled);
-    * **crossing hints** — Eq. 6-8 ``infimum_crossing`` searches are
-      warm-started with the horizon that sufficed for the same
-      ``(curve, level)`` before, skipping the geometric horizon
-      expansion.  Hints never change results (see
-      :func:`~repro.rtc.curves.infimum_crossing`), so a context-assisted
-      solve is bit-identical to a cold one.
+      strong references so ids cannot be recycled).
+
+    A context-assisted solve is bit-identical to a cold one.
 
     Contexts are cheap, single-threaded, and intentionally *not* shared
     across processes: parallel sweeps solve in the parent with one
@@ -71,25 +67,19 @@ class SolverContext:
     __slots__ = (
         "results",
         "sup_memo",
-        "crossing_hints",
         "result_hits",
         "result_misses",
         "sup_hits",
         "sup_misses",
-        "crossing_warm",
-        "crossing_cold",
     )
 
     def __init__(self) -> None:
         self.results: Dict = {}
         self.sup_memo: Dict = {}
-        self.crossing_hints: Dict = {}
         self.result_hits = 0
         self.result_misses = 0
         self.sup_hits = 0
         self.sup_misses = 0
-        self.crossing_warm = 0
-        self.crossing_cold = 0
 
     def stats(self) -> Dict[str, int]:
         """Hit/miss counters for reporting."""
@@ -98,16 +88,13 @@ class SolverContext:
             "result_misses": self.result_misses,
             "sup_hits": self.sup_hits,
             "sup_misses": self.sup_misses,
-            "crossing_warm": self.crossing_warm,
-            "crossing_cold": self.crossing_cold,
         }
 
     def __repr__(self) -> str:
         return (
             f"SolverContext(results={self.result_hits}/"
             f"{self.result_hits + self.result_misses} hits, "
-            f"sup={self.sup_hits}/{self.sup_hits + self.sup_misses} hits, "
-            f"crossings warm={self.crossing_warm})"
+            f"sup={self.sup_hits}/{self.sup_hits + self.sup_misses} hits)"
         )
 
 
@@ -130,27 +117,6 @@ def _sup_difference(
     value = supremum_difference(upper, lower, horizon)
     memo[key] = value
     return value
-
-
-def _crossing(
-    curve: Curve,
-    level: float,
-    horizon: Optional[float],
-    context: Optional[SolverContext],
-) -> float:
-    """``infimum_crossing`` warm-started from the context's hints."""
-    if context is None or horizon is not None:
-        return infimum_crossing(curve, level, horizon)
-    key = (curve, level)
-    hint = context.crossing_hints.get(key)
-    if hint is not None:
-        context.crossing_warm += 1
-    else:
-        context.crossing_cold += 1
-    result = infimum_crossing(curve, level, start_horizon=hint)
-    if math.isfinite(result):
-        context.crossing_hints[key] = result
-    return result
 
 
 def fifo_capacity(
@@ -227,7 +193,6 @@ def detection_latency_bound(
     threshold: int,
     faulty_upper: Optional[Curve] = None,
     horizon: Optional[float] = None,
-    context: Optional[SolverContext] = None,
 ) -> float:
     """Eq. 6: worst-case detection latency for one (healthy, faulty) pair.
 
@@ -241,7 +206,7 @@ def detection_latency_bound(
         raise ValueError("threshold D must be >= 1")
     required = 2 * threshold - 1
     if faulty_upper is None or isinstance(faulty_upper, ZeroCurve):
-        return _crossing(healthy_lower, required, horizon, context)
+        return infimum_crossing(healthy_lower, required, horizon)
     difference = _difference_curve(healthy_lower, faulty_upper)
     return infimum_crossing(difference, required, horizon)
 
@@ -264,7 +229,6 @@ def detection_latency_bound_fail_stop(
     lower_curves: Sequence[Curve],
     threshold: int,
     horizon: Optional[float] = None,
-    context: Optional[SolverContext] = None,
 ) -> float:
     """Eq. 8: worst-case detection latency when the faulty replica stops
     producing altogether — the maximum over healthy replicas of the window
@@ -276,7 +240,7 @@ def detection_latency_bound_fail_stop(
         raise ValueError("threshold D must be >= 1")
     required = 2 * threshold - 1
     return max(
-        _crossing(curve, required, horizon, context)
+        infimum_crossing(curve, required, horizon)
         for curve in lower_curves
     )
 
@@ -286,7 +250,6 @@ def replicator_blocking_bound(
     capacity: int,
     faulty_in_upper: Optional[Curve] = None,
     horizon: Optional[float] = None,
-    context: Optional[SolverContext] = None,
 ) -> float:
     """Worst-case latency of the replicator's occupancy-based detection.
 
@@ -302,7 +265,7 @@ def replicator_blocking_bound(
         raise ValueError("capacity must be >= 1")
     required = capacity + 1
     if faulty_in_upper is None:
-        return _crossing(producer_lower, required, horizon, context)
+        return infimum_crossing(producer_lower, required, horizon)
     difference = _difference_curve(producer_lower, faulty_in_upper)
     return infimum_crossing(difference, required, horizon)
 
@@ -396,9 +359,8 @@ def size_duplicated_network(
     solver nor touch this cache; workers forked after a parent-side
     solve additionally inherit the warm memo for any ad-hoc calls.
 
-    With ``context`` (a :class:`SolverContext`), memoisation and
-    warm-starting run through the caller-owned context instead of the
-    global memo — the batch-sizing path for sweeps.  Results are
+    With ``context`` (a :class:`SolverContext`), memoisation runs
+    through the caller-owned context instead of the global memo — the batch-sizing path for sweeps.  Results are
     bit-identical either way.
     """
     if context is not None:
@@ -502,7 +464,6 @@ def _size_duplicated_network_impl(
         [model.lower() for model in replica_outputs],
         selector_threshold,
         horizon,
-        context,
     )
     # The paper computes the replicator-side bound "analogously" to the
     # selector (Eq. 8 on the replica input curves); the occupancy-based
@@ -511,11 +472,10 @@ def _size_duplicated_network_impl(
         [model.lower() for model in replica_inputs],
         replicator_threshold,
         horizon,
-        context,
     )
     blocking_bounds = {
         f"replicator_blocking_bound_R{k + 1}": replicator_blocking_bound(
-            producer_lower, cap, None, horizon, context
+            producer_lower, cap, None, horizon
         )
         for k, cap in enumerate(replicator_caps)
     }
