@@ -96,7 +96,6 @@ def _min_plus_convolution_impl(
 ) -> PiecewiseConstantCurve:
     grid = _sample_grid(f, g, horizon)
     values_f = {p: f.value(p) for p in grid}
-    values_g = {p: g.value(p) for p in grid}
     steps: List[Tuple[float, float]] = []
     for delta in grid:
         best = math.inf
@@ -109,7 +108,6 @@ def _min_plus_convolution_impl(
             if candidate < best:
                 best = candidate
         steps.append((delta, best))
-        _ = values_g  # grid cache for symmetry; g sampled off-grid above
     tail_rate = min(f.long_run_rate(), g.long_run_rate())
     return PiecewiseConstantCurve(_dedupe_steps(steps), tail_rate=tail_rate)
 
