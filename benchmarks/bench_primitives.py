@@ -17,7 +17,10 @@ from repro.kpn.network import Network
 from repro.kpn.process import PeriodicConsumer, PeriodicSource
 from repro.kpn.tokens import Token
 from repro.rtc.pjd import PJD
-from repro.rtc.sizing import size_duplicated_network
+from repro.rtc.sizing import (
+    _size_duplicated_network_impl,
+    size_duplicated_network,
+)
 
 
 def test_selector_write_read_cycle(benchmark):
@@ -106,6 +109,12 @@ def test_simulator_throughput_metrics_enabled(benchmark):
 
 
 def test_sizing_solver(benchmark):
+    """The memo path of ``size_duplicated_network``.
+
+    Every round after the first is an ``lru_cache`` hit, so this times
+    the memo lookup and the result copy, not the solver; see
+    :func:`test_sizing_solver_cold` for the solver itself.
+    """
     producer = PJD(30.0, 2.0, 30.0)
     replicas = [PJD(30.0, 5.0, 30.0), PJD(30.0, 30.0, 30.0)]
 
@@ -115,6 +124,30 @@ def test_sizing_solver(benchmark):
 
     sizing = benchmark(solve)
     assert sizing.replicator_capacities == (2, 3)
+
+
+def test_sizing_solver_cold(benchmark):
+    """The Section 3.4 solver without any memo: a fixed batch of 20
+    randomized synthetic model sets sized through the uncached solve."""
+    import random
+
+    from repro.apps.synthetic import SyntheticApp
+
+    rng = random.Random(0)
+    apps = [SyntheticApp.randomized(rng) for _ in range(20)]
+
+    def solve():
+        return [
+            _size_duplicated_network_impl(
+                app.producer_model, app.replica_input_models,
+                app.replica_output_models, app.consumer_model, None,
+            )
+            for app in apps
+        ]
+
+    sizings = benchmark(solve)
+    assert len(sizings) == 20
+    assert all(s.selector_threshold >= 1 for s in sizings)
 
 
 def test_sweep_throughput(benchmark):
