@@ -74,21 +74,14 @@ class StreamingApplication:
 
     # -- analysis ------------------------------------------------------------
 
-    def sizing(self, horizon: Optional[float] = None,
-               context=None) -> SizingResult:
-        """Run the Section 3.4 computation for this application.
-
-        ``context`` (a :class:`~repro.rtc.sizing.SolverContext`) memoises
-        the curve solvers across repeated sizings — batch spec builders
-        share one context per sweep.  Results are identical either way.
-        """
+    def sizing(self, horizon: Optional[float] = None) -> SizingResult:
+        """Run the Section 3.4 computation for this application."""
         return size_duplicated_network(
             self.producer_model,
             self.replica_input_models,
             self.replica_output_models,
             self.consumer_model,
             horizon=horizon,
-            context=context,
         )
 
     def minimized(self) -> "StreamingApplication":

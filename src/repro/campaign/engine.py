@@ -29,7 +29,13 @@ from repro.campaign.oracles import (
 )
 from repro.campaign.scenario import Scenario, ScenarioGenerator
 from repro.campaign.shrink import ShrinkResult, shrink_scenario
-from repro.exec import ResultCache, SweepExecutor, SweepStats, TaskResult
+from repro.exec import (
+    ResultCache,
+    SweepExecutor,
+    SweepStats,
+    TaskResult,
+    run_sweep,
+)
 
 #: Verdict strings (stable; part of the campaign digest).
 VERDICT_PASS = "pass"
@@ -161,10 +167,8 @@ def run_scenario(
     executor: Optional[SweepExecutor] = None,
 ) -> Tuple[TaskResult, TaskResult]:
     """Execute one scenario's (reference, duplicated) pair."""
-    reference_spec, duplicated_spec = scenario.specs()
-    if executor is None:
-        executor = SweepExecutor(jobs=jobs, cache=cache, persistent=False)
-    results = executor.run([reference_spec, duplicated_spec])
+    results = run_sweep(scenario.specs(), jobs=jobs, cache=cache,
+                        executor=executor)
     return results[0], results[1]
 
 
@@ -220,8 +224,8 @@ def run_campaign(
     for scenario in scenarios:
         specs.extend(scenario.specs())
     # One persistent executor carries the whole campaign: the main batch
-    # AND every shrink candidate reuse the same warm worker pool and
-    # per-task latency estimate instead of forking per call.
+    # AND every shrink candidate reuse the same worker pool instead of
+    # forking per call.
     executor = SweepExecutor(jobs=config.jobs, cache=config.cache,
                              ledger=ledger)
     try:

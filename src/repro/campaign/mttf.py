@@ -17,7 +17,7 @@ dependability triple
   of time the duplicated network provides Theorem 2 service.
 
 Cycles run in fixed-size batches through one persistent
-:class:`~repro.exec.SweepExecutor` (warm worker pool, cache, ledger
+:class:`~repro.exec.SweepExecutor` (one worker pool, cache, ledger
 streaming), but convergence is judged strictly in cycle order with a
 batch size independent of ``jobs`` — the stopping point, and therefore
 the result, is a pure function of the seed and the config.

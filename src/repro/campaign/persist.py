@@ -31,9 +31,9 @@ from repro.campaign.scenario import (
 )
 from repro.exec import (
     ResultCache,
-    SweepExecutor,
     TaskSpec,
     TaskSpecError,
+    run_sweep,
     spec_from_jsonable,
     spec_to_jsonable,
 )
@@ -223,11 +223,7 @@ def replay_reproducer(
     Returns the judged outcome; :meth:`Reproducer.matches` tells whether
     the recorded violation reproduced.
     """
-    reference_spec, duplicated_spec = reproducer.scenario.specs()
-    results = SweepExecutor(jobs=jobs, cache=cache,
-                            persistent=False).run(
-        [reference_spec, duplicated_spec]
-    )
+    results = run_sweep(reproducer.scenario.specs(), jobs=jobs, cache=cache)
     return evaluate_scenario(
         reproducer.scenario, results[0], results[1], oracles_by_name(None)
     )

@@ -29,7 +29,7 @@ from repro.campaign.oracles import (
     Violation,
 )
 from repro.campaign.scenario import Scenario
-from repro.exec import ResultCache, SweepExecutor
+from repro.exec import ResultCache, SweepExecutor, run_sweep
 from repro.faults.models import FAIL_STOP, FaultSpec
 
 
@@ -63,10 +63,8 @@ def _judge(
     executor: Optional[SweepExecutor] = None,
 ) -> Tuple[Violation, ...]:
     """Execute one scenario and return its oracle violations."""
-    reference_spec, duplicated_spec = scenario.specs()
-    if executor is None:
-        executor = SweepExecutor(jobs=jobs, cache=cache, persistent=False)
-    results = executor.run([reference_spec, duplicated_spec])
+    results = run_sweep(scenario.specs(), jobs=jobs, cache=cache,
+                        executor=executor)
     ctx = OutcomeContext(
         scenario=scenario,
         sizing=scenario.applied_sizing(scenario.build_app()),
@@ -150,8 +148,8 @@ def shrink_scenario(
     ``known_violations`` (e.g. from the campaign's own evaluation) skips
     the baseline re-execution.  If the scenario turns out not to violate
     anything, the result is the scenario itself with zero target oracles.
-    Pass ``executor`` to judge candidates on an existing (typically
-    persistent, warm) executor instead of a fresh pool per candidate —
+    Pass ``executor`` to judge candidates on an existing executor (and
+    its live pool) instead of a fresh pool per candidate —
     the campaign engine shares its batch executor this way.
     """
     runs = 0

@@ -1,9 +1,11 @@
 """Parallel experiment execution: task specs, workers, cache, executor.
 
 The subsystem turns every experiment run into a pickleable, content-
-addressed :class:`TaskSpec`, executes batches of them through an
-optional process pool (:class:`SweepExecutor` / :func:`run_sweep`), and
-memoises executed results on disk (:class:`ResultCache`).  See
+addressed :class:`TaskSpec`, executes batches of them as handed over
+(each spec carries its solved sizing) through an optional fork pool
+(:class:`SweepExecutor` / :func:`run_sweep`), and memoises executed
+results on disk (:class:`ResultCache`), keyed by spec digest and
+guarded by a digest of the package source.  See
 ``docs/API.md`` ("Parallel execution & caching") for the full contract.
 """
 
@@ -14,7 +16,6 @@ from repro.exec.cache import (
     ResultCache,
 )
 from repro.exec.executor import (
-    TARGET_CHUNK_S,
     SweepExecutor,
     SweepStats,
     run_sweep,
@@ -23,7 +24,6 @@ from repro.exec.pool import (
     PoolCrashError,
     WorkerPool,
     fork_available,
-    warm_parent,
 )
 from repro.exec.results import (
     DetectionRecord,
@@ -41,16 +41,10 @@ from repro.exec.taskspec import (
     TaskSpec,
     TaskSpecError,
     build_app,
-    presolve_sizings,
     spec_from_jsonable,
     spec_to_jsonable,
 )
-from repro.exec.worker import (
-    execute_task,
-    presolve_chunk,
-    run_chunk,
-    worker_solver_context,
-)
+from repro.exec.worker import execute_task, run_chunk
 
 __all__ = [
     "CACHE_DIR_ENV",
@@ -66,7 +60,6 @@ __all__ = [
     "SweepExecutor",
     "SweepStats",
     "SyntheticAppSpec",
-    "TARGET_CHUNK_S",
     "TASK_SCHEMA_VERSION",
     "TaskResult",
     "TaskSpec",
@@ -75,14 +68,10 @@ __all__ = [
     "build_app",
     "execute_task",
     "fork_available",
-    "presolve_chunk",
-    "presolve_sizings",
     "hash_values",
     "run_chunk",
     "run_sweep",
     "snapshot_for_result",
     "spec_from_jsonable",
     "spec_to_jsonable",
-    "warm_parent",
-    "worker_solver_context",
 ]

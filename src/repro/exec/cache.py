@@ -6,17 +6,23 @@ sharded by digest prefix::
 
     .repro-cache/ab/abcdef....pkl
 
-Each entry is a pickle of ``{"schema": ..., "digest": ..., "result":
-TaskResult}``.  The digest is the :meth:`TaskSpec.digest` content hash,
-so a cache hit short-circuits the simulator entirely: re-running a sweep
-after an unrelated edit replays stored results instead of recomputing.
+Each entry is a pickle of ``{"schema": ..., "code": ..., "digest": ...,
+"result": TaskResult}``.  The digest is the :meth:`TaskSpec.digest`
+content hash, so a cache hit short-circuits the simulator entirely.
+``code`` is :func:`code_digest`, a SHA-256 over every ``.py`` file of
+the ``repro`` package: any source edit turns every stored entry into a
+miss, so a cached result never outlives the code that produced it.  The
+whole package is hashed rather than a hand-kept list of
+result-affecting modules, because such a list can itself go stale.
 
 Robustness rules (all covered by ``tests/exec/test_cache.py``):
 
 * a corrupted / truncated / unreadable entry is **deleted and treated as
   a miss** — the run recomputes and overwrites it;
 * a schema-version mismatch (:data:`CACHE_SCHEMA_VERSION` bump) is a
-  miss, as is a digest mismatch (defends against hand-renamed files);
+  miss, as is a source-digest mismatch (the package changed since the
+  entry was stored) or a digest mismatch (defends against hand-renamed
+  files); the entry is deleted and recomputed in place;
 * writes are atomic (temp file + ``os.replace``), so concurrent sweeps
   sharing a cache directory never observe half-written entries;
 * ``refresh=True`` ignores existing entries but still stores new ones
@@ -26,6 +32,7 @@ Robustness rules (all covered by ``tests/exec/test_cache.py``):
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pickle
 import tempfile
@@ -44,6 +51,34 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 
 #: Environment variable overriding the default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
+
+#: The running package's :func:`source_digest`, filled on first use.
+_CODE_DIGEST: Optional[str] = None
+
+
+def source_digest(package_dir: Union[str, Path]) -> str:
+    """SHA-256 over the relative path and bytes of every ``.py`` file
+    under ``package_dir``, in sorted path order."""
+    package_dir = Path(package_dir)
+    files = sorted(
+        (path.relative_to(package_dir).as_posix(), path)
+        for path in package_dir.rglob("*.py")
+    )
+    digest = hashlib.sha256()
+    for name, path in files:
+        data = path.read_bytes()
+        digest.update(f"{name}\0{len(data)}\0".encode("utf-8"))
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def code_digest() -> str:
+    """:func:`source_digest` of the running ``repro`` package, computed
+    once per process on the first cache read or write."""
+    global _CODE_DIGEST
+    if _CODE_DIGEST is None:
+        _CODE_DIGEST = source_digest(Path(__file__).resolve().parent.parent)
+    return _CODE_DIGEST
 
 
 class ResultCache:
@@ -87,6 +122,7 @@ class ResultCache:
         if (
             not isinstance(payload, dict)
             or payload.get("schema") != CACHE_SCHEMA_VERSION
+            or payload.get("code") != code_digest()
             or payload.get("digest") != digest
             or not isinstance(payload.get("result"), TaskResult)
         ):
@@ -120,6 +156,7 @@ class ResultCache:
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "schema": CACHE_SCHEMA_VERSION,
+            "code": code_digest(),
             "digest": digest,
             "result": result,
         }

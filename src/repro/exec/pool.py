@@ -1,20 +1,11 @@
-"""Persistent warm worker pool for campaign-scale sweeps.
+"""Persistent worker pool for campaign-scale sweeps.
 
-A :class:`WorkerPool` is a process pool that **survives across sweep
-batches**: the :class:`~repro.exec.executor.SweepExecutor` that owns one
-keeps it alive from one ``run()`` to the next, so campaign rounds, table
-sweeps and DSE generations stop paying fork/import startup per batch and
-start accumulating **per-worker warm state** instead:
-
-* the pool forks (copy-on-write) from a parent that has already been
-  *warmed* — :func:`warm_parent` pre-imports the experiment stack and
-  materializes the application registry, so every worker is born with
-  the hot modules resident and the global RTC memos it inherits;
-* each worker process keeps a long-lived
-  :class:`~repro.rtc.sizing.SolverContext`
-  (:func:`repro.exec.worker.worker_solver_context`) that warms across
-  chunks *and across batches* — repeated sizing solves in a campaign
-  hit the same per-worker memo round after round.
+A :class:`WorkerPool` is a fork-based process pool that **survives
+across sweep batches**: the :class:`~repro.exec.executor.SweepExecutor`
+that owns one keeps it alive from one ``run()`` to the next, so
+campaign rounds and table sweeps pay fork startup once.  Workers fork
+copy-on-write from the parent, inheriting its loaded modules and its
+process-global RTC memos.
 
 Lifecycle is explicit: :meth:`close` (or the context-manager form)
 shuts the workers down; an unclosed pool is also torn down defensively
@@ -28,9 +19,8 @@ was not yet consumed when the pool broke merely re-executes to the
 identical result.
 
 The pool itself is task-agnostic: :meth:`map_chunks` ships arbitrary
-``(fn, payload)`` work.  The executor uses it for both task chunks
-(:func:`repro.exec.worker.run_chunk`) and parallel presolve chunks
-(:func:`repro.exec.worker.presolve_chunk`).
+``(fn, payload)`` work; the executor sends it task chunks
+(:func:`repro.exec.worker.run_chunk`).
 """
 
 from __future__ import annotations
@@ -47,55 +37,21 @@ class PoolCrashError(RuntimeError):
 
 def fork_available() -> bool:
     """Whether this platform supports the fork start method the pool
-    needs for copy-on-write warm-state seeding."""
+    needs."""
     return "fork" in multiprocessing.get_all_start_methods()
-
-
-def warm_parent() -> int:
-    """Warm the parent process before the first fork.
-
-    Pre-imports the experiment harness stack (the modules every task
-    touches) and materializes the application registry — one instance
-    per registered application class — so forked workers inherit loaded
-    modules, constructed PJD models and the process-global RTC curve
-    memos copy-on-write instead of each rebuilding them on first use.
-
-    Returns the number of registry applications materialized (handy for
-    tests; the instances themselves are deliberately dropped — specs
-    reconstruct apps on the worker side, this only pays the import and
-    model-construction cost once, parent-side).
-    """
-    import repro.experiments.runner  # noqa: F401  (harness stack)
-    import repro.experiments.validation  # noqa: F401
-    from repro.apps import ALL_APPLICATIONS
-    from repro.apps.base import AppScale
-
-    count = 0
-    for cls in ALL_APPLICATIONS:
-        cls(AppScale())
-        count += 1
-    return count
 
 
 class WorkerPool:
     """A reusable fork-based process pool with crash respawn.
 
-    ``workers`` is the pool size; ``warm`` runs in the parent once,
-    immediately before the first fork (default :func:`warm_parent`;
-    pass ``None`` to skip).  The pool starts lazily on first use.
+    ``workers`` is the pool size.  The pool starts lazily on first use.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        warm: Optional[Callable[[], Any]] = warm_parent,
-        max_respawns: int = 3,
-    ) -> None:
+    def __init__(self, workers: int, max_respawns: int = 3) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
         self.max_respawns = max_respawns
-        self._warm = warm
         self._pool: Optional[ProcessPoolExecutor] = None
         #: Lifetime counters (observability; see ``sweep.pool.*``).
         self.respawns = 0
@@ -113,8 +69,6 @@ class WorkerPool:
         """Fork the workers now (no-op when already running)."""
         if self._pool is not None:
             return
-        if self._warm is not None:
-            self._warm()
         context = multiprocessing.get_context("fork")
         self._pool = ProcessPoolExecutor(
             max_workers=self.workers, mp_context=context

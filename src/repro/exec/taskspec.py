@@ -227,29 +227,6 @@ class TaskSpec:
             parts.append("monitor")
         return " ".join(parts)
 
-    def sizing_group(self) -> str:
-        """Digest of the sizing *problem* this spec poses (hex SHA-256
-        prefix).
-
-        Two specs with equal sizing groups feed identical interface
-        models to the Section 3.4 solver, so a warm
-        :class:`~repro.rtc.sizing.SolverContext` that solved one gets a
-        pure memo hit on the other.  The scheduler sorts pending tasks
-        by this key so chunk-mates share warm solver state; it is a
-        *scheduling* key only and never keys the result cache (that is
-        :meth:`digest`).
-        """
-        payload = {
-            "app": self.app,
-            "app_seed": self.app_seed,
-            "paper_scale": self.paper_scale,
-            "minimized": self.minimized,
-            "synthetic": _canon(self.synthetic),
-            "presolved": self.sizing is not None,
-        }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-
 
 def _canon(obj):
     """Reduce ``obj`` to a canonical JSON-compatible structure."""
@@ -460,31 +437,3 @@ def build_app(spec: TaskSpec) -> StreamingApplication:
     if spec.minimized:
         app = app.minimized()
     return app
-
-
-def presolve_sizings(specs, context=None):
-    """Attach a parent-side solved sizing to every spec that lacks one.
-
-    Returns a new spec list; specs already carrying a sizing (e.g.
-    ablation overrides) pass through untouched.  All solves share one
-    :class:`~repro.rtc.sizing.SolverContext` — repeated interface-model
-    tuples and curve pairs across a sweep hit its memos — so the batch
-    costs far less than per-spec cold solves while producing
-    bit-identical results.  Workers
-    then never run the solver at all.
-
-    Pass an explicit ``context`` to accumulate warm state (and hit/miss
-    statistics, see :meth:`SolverContext.stats`) across several batches.
-    """
-    from repro.rtc.sizing import SolverContext
-
-    if context is None:
-        context = SolverContext()
-    solved = []
-    for spec in specs:
-        if spec.sizing is not None:
-            solved.append(spec)
-            continue
-        sizing = build_app(spec).sizing(context=context)
-        solved.append(dataclasses.replace(spec, sizing=sizing))
-    return solved

@@ -10,6 +10,10 @@ byte-identical to serial ones because this is the only execution path.
 Experiment-layer imports are deferred into the function bodies:
 ``repro.experiments`` imports the executor, so importing the experiment
 harnesses here at module scope would be circular.
+
+A spec normally carries its solved sizing.  One handed over unsized is
+solved here, through the process-global ``size_duplicated_network``
+memo, before the run.
 """
 
 from __future__ import annotations
@@ -37,26 +41,6 @@ from repro.exec.taskspec import (
 #: (matches the Table 3 harness).
 MONITOR_NAME = "distance-monitor"
 
-#: Per-process warm solver state (see :func:`worker_solver_context`).
-_SOLVER_CONTEXT = None
-
-
-def worker_solver_context():
-    """This process's long-lived :class:`~repro.rtc.sizing.SolverContext`.
-
-    Created on first use and kept for the life of the process, so a
-    pool worker that survives across chunks — and, with the persistent
-    :class:`~repro.exec.pool.WorkerPool`, across whole sweep batches —
-    accumulates solver memos instead of solving cold each time.  Warm solves are bit-identical to cold ones (pinned
-    by the parallel-identity suite), so this is invisible to results.
-    """
-    global _SOLVER_CONTEXT
-    if _SOLVER_CONTEXT is None:
-        from repro.rtc.sizing import SolverContext
-
-        _SOLVER_CONTEXT = SolverContext()
-    return _SOLVER_CONTEXT
-
 
 def execute_task(spec: TaskSpec) -> TaskResult:
     """Execute one task spec and return its serialisable result."""
@@ -66,10 +50,7 @@ def execute_task(spec: TaskSpec) -> TaskResult:
     start = time.perf_counter()
     copies_before = COPY_STATS.snapshot()
     app = build_app(spec)
-    if spec.sizing is not None:
-        sizing = spec.sizing
-    else:
-        sizing = app.sizing(context=worker_solver_context())
+    sizing = spec.sizing if spec.sizing is not None else app.sizing()
     try:
         if spec.kind == KIND_REFERENCE:
             result = _execute_reference(spec, app, sizing)
@@ -93,23 +74,6 @@ def run_chunk(
 ) -> List[Tuple[int, TaskResult]]:
     """Execute a chunk of ``(index, spec)`` pairs (pool entry point)."""
     return [(index, execute_task(spec)) for index, spec in indexed_specs]
-
-
-def presolve_chunk(indexed_specs: Sequence[Tuple[int, TaskSpec]]):
-    """Solve sizings for a chunk of ``(index, spec)`` pairs (pool entry
-    point for parallel presolve).
-
-    Uses this worker's persistent :func:`worker_solver_context`, so the
-    memo entries one solve leaves behind are shared by the next —
-    within this chunk and with every later chunk the worker handles.
-    Only the solved :class:`~repro.rtc.sizing.SizingResult` travels
-    back (sizings are small; shipping re-specs would be redundant).
-    """
-    context = worker_solver_context()
-    return [
-        (index, build_app(spec).sizing(context=context))
-        for index, spec in indexed_specs
-    ]
 
 
 def _execute_reference(spec, app, sizing) -> TaskResult:

@@ -128,7 +128,7 @@ def run_table2(
     reference run per seed feeds the inter-frame comparison.  The sweep
     executes through :func:`repro.exec.run_sweep` — ``jobs`` fans it out
     across processes and ``cache`` replays previously executed runs;
-    ``executor`` reuses a persistent warm pool across tables.
+    ``executor`` reuses a persistent worker pool across tables.
     """
     sizing = app.sizing()
     specs = table2_specs(app, runs, warmup_tokens, post_tokens, base_seed)

@@ -5,15 +5,12 @@ The Section 3.4 solvers lean on three layers of memoisation:
 * the ``lru_cache``\\ d curve operators in :mod:`repro.rtc.minplus`
   (min-plus/max-plus convolution and deconvolution);
 * the ``lru_cache``\\ d PJD curve constructors in :mod:`repro.rtc.pjd`;
-* the full-sizing cache and (optionally) a per-sweep
-  :class:`~repro.rtc.sizing.SolverContext` in :mod:`repro.rtc.sizing`.
+* the full-sizing cache in :mod:`repro.rtc.sizing`.
 
 :func:`record_rtc_cache_gauges` snapshots every layer's ``cache_info()``
 hit/miss/size numbers into ``rtc.cache.*`` gauges on a
 :class:`~repro.obs.metrics.MetricsRegistry`, so run reports answer "did
-the sweep actually reuse solver work, or did it solve cold?".  Pass a
-``SolverContext`` to additionally publish its memo counters under
-``rtc.ctx.*``.
+the sweep actually reuse solver work, or did it solve cold?".
 """
 
 from __future__ import annotations
@@ -22,9 +19,6 @@ from typing import Dict, Optional
 
 #: Gauge name prefix for process-wide ``lru_cache`` statistics.
 CACHE_PREFIX = "rtc.cache"
-
-#: Gauge name prefix for per-sweep :class:`SolverContext` statistics.
-CONTEXT_PREFIX = "rtc.ctx"
 
 
 def _rtc_caches() -> Dict[str, object]:
@@ -58,7 +52,7 @@ def rtc_cache_stats() -> Dict[str, Dict[str, int]]:
     return stats
 
 
-def record_rtc_cache_gauges(registry, context=None) -> None:
+def record_rtc_cache_gauges(registry) -> None:
     """Publish RTC memo hit/miss/size gauges onto ``registry``.
 
     Per cache ``<name>`` this sets ``rtc.cache.<name>.hits``,
@@ -66,10 +60,6 @@ def record_rtc_cache_gauges(registry, context=None) -> None:
     rollups.  The numbers are process-lifetime (``lru_cache`` has no
     per-run scoping), which is exactly the sweep-level question the
     gauges exist to answer.
-
-    When ``context`` (a :class:`~repro.rtc.sizing.SolverContext`) is
-    given, its per-sweep memo counters are published under
-    ``rtc.ctx.*`` as well.
 
     A disabled registry makes every call a no-op (null instruments).
     """
@@ -83,9 +73,6 @@ def record_rtc_cache_gauges(registry, context=None) -> None:
         total_misses += stats["misses"]
     registry.gauge(f"{CACHE_PREFIX}.total.hits").set(total_hits)
     registry.gauge(f"{CACHE_PREFIX}.total.misses").set(total_misses)
-    if context is not None:
-        for key, value in context.stats().items():
-            registry.gauge(f"{CONTEXT_PREFIX}.{key}").set(value)
 
 
 def summarize_cache_gauges(metrics: Dict[str, dict]) -> Optional[str]:

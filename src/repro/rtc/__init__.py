@@ -44,7 +44,6 @@ from repro.rtc.service import (
 )
 from repro.rtc.sizing import (
     SizingResult,
-    SolverContext,
     detection_latency_bound,
     detection_latency_bound_fail_stop,
     divergence_threshold,
@@ -78,7 +77,6 @@ __all__ = [
     "horizontal_deviation",
     "vertical_deviation",
     "SizingResult",
-    "SolverContext",
     "detection_latency_bound",
     "detection_latency_bound_fail_stop",
     "divergence_threshold",

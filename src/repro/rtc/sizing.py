@@ -17,6 +17,10 @@ Implements the paper's Eqs. 3-8 on top of the curve solvers:
 * :func:`size_duplicated_network` — the end-to-end computation producing a
   :class:`SizingResult` for a duplicated process network (the numbers in
   the "Theoretical Capacity" rows of Table 2).
+
+As in the paper, sizing is a design-time computation: each set of
+interface models is solved once (memoised per process on the PJD
+values) and a run only consumes the resulting :class:`SizingResult`.
 """
 
 from __future__ import annotations
@@ -40,90 +44,10 @@ def _ceil_int(value: float) -> int:
     return int(math.ceil(value - EPS))
 
 
-class SolverContext:
-    """Memo state for repeated RTC solving (sweeps, batch sizing).
-
-    A sweep sizes hundreds of near-identical interface-model tuples.  A
-    shared context turns that repetition into two layers of reuse:
-
-    * **full-result memo** — identical ``size_duplicated_network`` calls
-      return a cached :class:`SizingResult` (each caller gets a fresh
-      copy, as with the global memo);
-    * **supremum memo** — Eq. 3/4/5 suprema are memoised on the curve
-      *objects* (identity keys: equal PJD models share curve instances
-      via :meth:`repro.rtc.pjd.PJD.upper`/``lower``, and the memo holds
-      strong references so ids cannot be recycled).
-
-    A context-assisted solve is bit-identical to a cold one.
-
-    Contexts are cheap, single-threaded, and intentionally *not* shared
-    across processes: parallel sweeps solve in the parent with one
-    context and ship plain :class:`SizingResult` data to workers (see
-    :func:`repro.exec.taskspec.presolve_sizings`).
-
-    ``stats()`` feeds the ``rtc.ctx.*`` observability gauges.
-    """
-
-    __slots__ = (
-        "results",
-        "sup_memo",
-        "result_hits",
-        "result_misses",
-        "sup_hits",
-        "sup_misses",
-    )
-
-    def __init__(self) -> None:
-        self.results: Dict = {}
-        self.sup_memo: Dict = {}
-        self.result_hits = 0
-        self.result_misses = 0
-        self.sup_hits = 0
-        self.sup_misses = 0
-
-    def stats(self) -> Dict[str, int]:
-        """Hit/miss counters for reporting."""
-        return {
-            "result_hits": self.result_hits,
-            "result_misses": self.result_misses,
-            "sup_hits": self.sup_hits,
-            "sup_misses": self.sup_misses,
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"SolverContext(results={self.result_hits}/"
-            f"{self.result_hits + self.result_misses} hits, "
-            f"sup={self.sup_hits}/{self.sup_hits + self.sup_misses} hits)"
-        )
-
-
-def _sup_difference(
-    upper: Curve,
-    lower: Curve,
-    horizon: Optional[float],
-    context: Optional[SolverContext],
-) -> float:
-    """``supremum_difference`` through the context's identity-keyed memo."""
-    if context is None:
-        return supremum_difference(upper, lower, horizon)
-    key = (upper, lower, horizon)
-    memo = context.sup_memo
-    value = memo.get(key)
-    if value is not None:
-        context.sup_hits += 1
-        return value
-    context.sup_misses += 1
-    value = supremum_difference(upper, lower, horizon)
-    memo[key] = value
-    return value
-
-
 def fifo_capacity(
     producer_upper: Curve,
     consumer_lower: Curve,
     horizon: Optional[float] = None,
-    context: Optional[SolverContext] = None,
 ) -> int:
     """Eq. 3: smallest ``|F|`` with ``alpha_P^u(d) <= alpha_in^l(d) + |F|``.
 
@@ -133,8 +57,7 @@ def fifo_capacity(
     alpha_in^l)``.  Raises :class:`~repro.rtc.curves.CurveError` if the
     producer's long-run rate exceeds the consumer's (no finite FIFO works).
     """
-    backlog = _sup_difference(producer_upper, consumer_lower, horizon,
-                              context)
+    backlog = supremum_difference(producer_upper, consumer_lower, horizon)
     return max(_ceil_int(backlog), 1)
 
 
@@ -142,15 +65,14 @@ def initial_fill(
     consumer_upper: Curve,
     replica_out_lower: Curve,
     horizon: Optional[float] = None,
-    context: Optional[SolverContext] = None,
 ) -> int:
     """Eq. 4: smallest pre-fill so the consumer never stalls.
 
     ``alpha_out^l(d) >= alpha_C^u(d) - F_0`` for all ``d`` rearranges to
     ``F_0 = sup (alpha_C^u - alpha_out^l)``, rounded up to whole tokens.
     """
-    deficit = _sup_difference(consumer_upper, replica_out_lower, horizon,
-                              context)
+    deficit = supremum_difference(consumer_upper, replica_out_lower,
+                                  horizon)
     return max(_ceil_int(deficit), 0)
 
 
@@ -158,7 +80,6 @@ def divergence_threshold(
     upper_curves: Sequence[Curve],
     lower_curves: Sequence[Curve],
     horizon: Optional[float] = None,
-    context: Optional[SolverContext] = None,
 ) -> int:
     """Eq. 5: smallest integer ``D`` strictly exceeding the fault-free
     divergence between any ordered replica pair.
@@ -178,8 +99,8 @@ def divergence_threshold(
         for j in range(count):
             if i == j:
                 continue
-            gap = _sup_difference(
-                upper_curves[i], lower_curves[j], horizon, context
+            gap = supremum_difference(
+                upper_curves[i], lower_curves[j], horizon
             )
             if gap > worst:
                 worst = gap
@@ -335,7 +256,6 @@ def size_duplicated_network(
     replica_outputs: Sequence[PJD],
     consumer: PJD,
     horizon: Optional[float] = None,
-    context: Optional[SolverContext] = None,
 ) -> SizingResult:
     """Run the full Section 3.4 computation for a duplicated network.
 
@@ -352,42 +272,10 @@ def size_duplicated_network(
     :class:`SizingResult` copy, so mutating a result cannot poison the
     cache.
 
-    The memo is per-process and never shared writable across workers:
-    multiprocess sweeps (:mod:`repro.exec`) solve the sizing once in the
-    parent and ship the resulting :class:`SizingResult` (plain picklable
-    data) inside each task spec, so pool workers neither re-run the
-    solver nor touch this cache; workers forked after a parent-side
-    solve additionally inherit the warm memo for any ad-hoc calls.
-
-    With ``context`` (a :class:`SolverContext`), memoisation runs
-    through the caller-owned context instead of the global memo — the batch-sizing path for sweeps.  Results are
-    bit-identical either way.
+    The memo is per-process.  Every spec producer in :mod:`repro.exec`
+    sweeps attaches a solved :class:`SizingResult` (plain picklable
+    data), so pool workers only solve for specs handed to them unsized.
     """
-    if context is not None:
-        try:
-            key = (
-                producer,
-                tuple(replica_inputs),
-                tuple(replica_outputs),
-                consumer,
-                horizon,
-            )
-            cached = context.results.get(key)
-        except TypeError:
-            return _size_duplicated_network_impl(
-                producer, replica_inputs, replica_outputs, consumer,
-                horizon, context,
-            )
-        if cached is not None:
-            context.result_hits += 1
-        else:
-            context.result_misses += 1
-            cached = _size_duplicated_network_impl(
-                producer, replica_inputs, replica_outputs, consumer,
-                horizon, context,
-            )
-            context.results[key] = cached
-        return replace(cached, details=dict(cached.details))
     try:
         cached = _size_duplicated_network_cached(
             producer,
@@ -423,7 +311,6 @@ def _size_duplicated_network_impl(
     replica_outputs: Sequence[PJD],
     consumer: PJD,
     horizon: Optional[float],
-    context: Optional[SolverContext] = None,
 ) -> SizingResult:
     if len(replica_inputs) != 2 or len(replica_outputs) != 2:
         raise ValueError("exactly two replicas are supported (paper setup)")
@@ -431,11 +318,11 @@ def _size_duplicated_network_impl(
     consumer_upper, _consumer_lower = consumer.curves()
 
     replicator_caps = tuple(
-        fifo_capacity(producer_upper, model.lower(), horizon, context)
+        fifo_capacity(producer_upper, model.lower(), horizon)
         for model in replica_inputs
     )
     initial_fills = tuple(
-        initial_fill(consumer_upper, model.lower(), horizon, context)
+        initial_fill(consumer_upper, model.lower(), horizon)
         for model in replica_outputs
     )
     # The per-interface selector bound must hold the common priming fill
@@ -445,20 +332,18 @@ def _size_duplicated_network_impl(
     priming = max(initial_fills)
     selector_caps = tuple(
         priming
-        + fifo_capacity(model.upper(), consumer.lower(), horizon, context)
+        + fifo_capacity(model.upper(), consumer.lower(), horizon)
         for model in replica_outputs
     )
     selector_threshold = divergence_threshold(
         [model.upper() for model in replica_outputs],
         [model.lower() for model in replica_outputs],
         horizon,
-        context,
     )
     replicator_threshold = divergence_threshold(
         [model.upper() for model in replica_inputs],
         [model.lower() for model in replica_inputs],
         horizon,
-        context,
     )
     selector_bound = detection_latency_bound_fail_stop(
         [model.lower() for model in replica_outputs],

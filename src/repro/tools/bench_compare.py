@@ -303,9 +303,10 @@ def measure_sweep_gain(
     Each round times ``batches`` consecutive sweeps of the 50 %-duplicate
     matrix (:func:`sweep_gain_specs`, jobs=2, no cache) twice: once
     through the *legacy* configuration — a fresh pool per batch, no
-    dedup, static chunking (``dedup=False, persistent=False,
-    target_chunk_s=None``) — and once through the current default — one
-    persistent warm pool reused across all batches, digest dedup on.
+    dedup (a new ``SweepExecutor(jobs=jobs, dedup=False)`` closed after
+    each batch) — and once through the current default — one persistent
+    pool reused across all batches, digest dedup on.  Both sides chunk
+    statically.
     Legacy and current alternate within one loop so host frequency drift
     hits both sides equally, and the returned gain is min-vs-min:
     ``best legacy time / best current time`` (> 1 means faster now).
@@ -319,10 +320,8 @@ def measure_sweep_gain(
     def legacy_run() -> float:
         begin = time.perf_counter()
         for _ in range(batches):
-            SweepExecutor(
-                jobs=jobs, dedup=False, persistent=False,
-                target_chunk_s=None,
-            ).run(specs)
+            with SweepExecutor(jobs=jobs, dedup=False) as executor:
+                executor.run(specs)
         return time.perf_counter() - begin
 
     def current_run() -> float:

@@ -1,11 +1,20 @@
 """Tests for the on-disk content-addressed result cache."""
 
 import pickle
+import shutil
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.exec import ResultCache, TaskResult
-from repro.exec.cache import CACHE_DIR_ENV, CACHE_SCHEMA_VERSION
+from repro.exec import cache as cache_module
+from repro.exec.cache import (
+    CACHE_DIR_ENV,
+    CACHE_SCHEMA_VERSION,
+    code_digest,
+    source_digest,
+)
 
 
 DIGEST = "ab" + "0" * 62
@@ -105,6 +114,43 @@ class TestRecovery:
             p for p in cache.root.rglob("*") if p.name.startswith(".tmp-")
         ]
         assert leftovers == []
+
+
+class TestCodeIdentity:
+    """Entries are stamped with a digest of the package source."""
+
+    def test_code_digest_is_the_running_package_source(self):
+        package = Path(repro.__file__).resolve().parent
+        assert code_digest() == source_digest(package)
+
+    def test_entries_carry_the_code_digest(self, cache):
+        cache.put(DIGEST, _result())
+        payload = pickle.loads(cache._path(DIGEST).read_bytes())
+        assert payload["code"] == code_digest()
+
+    def test_one_byte_source_edit_turns_entry_into_miss(
+        self, cache, tmp_path, monkeypatch
+    ):
+        tree = tmp_path / "repro"
+        shutil.copytree(Path(repro.__file__).resolve().parent, tree)
+        before = source_digest(tree)
+        monkeypatch.setattr(cache_module, "_CODE_DIGEST", before)
+        cache.put(DIGEST, _result())
+        assert cache.get(DIGEST) is not None
+
+        module = tree / "exec" / "worker.py"
+        source = bytearray(module.read_bytes())
+        source[0] ^= 0x01  # one byte: '"' -> '#'
+        module.write_bytes(bytes(source))
+        after = source_digest(tree)
+        assert after != before
+        monkeypatch.setattr(cache_module, "_CODE_DIGEST", after)
+        assert cache.get(DIGEST) is None
+        assert cache.invalidated == 1
+        assert not cache._path(DIGEST).exists()
+        # The sweep recomputes and overwrites under the new digest.
+        cache.put(DIGEST, _result(stalls=5))
+        assert cache.get(DIGEST).stalls == 5
 
 
 def _digest(i):

@@ -55,11 +55,6 @@ class TestOrderingAndIdentity:
         pooled = run_sweep(specs, jobs=2)
         assert [_strip(r) for r in serial] == [_strip(r) for r in pooled]
 
-    def test_chunksize_does_not_change_results(self, specs):
-        serial = run_sweep(specs, jobs=1)
-        pooled = run_sweep(specs, jobs=2, chunksize=1)
-        assert [_strip(r) for r in serial] == [_strip(r) for r in pooled]
-
     def test_empty_sweep(self):
         assert run_sweep([]) == []
 
@@ -410,7 +405,7 @@ class TestMonotoneProgress:
         doubled = list(specs) + list(specs)
         seen = []
         run_sweep(
-            doubled, jobs=2, chunksize=1,
+            doubled, jobs=2,
             progress=lambda done, total, spec, result:
                 seen.append((done, total)),
         )
@@ -465,9 +460,9 @@ class TestPersistentPool:
         assert pids_first & pids_second
 
     def test_one_shot_executor_leaves_no_pool_behind(self, specs):
-        executor = SweepExecutor(jobs=2, persistent=False)
-        executor.run(specs)
-        assert executor.pool is None or not executor.pool.active
+        with SweepExecutor(jobs=2) as executor:
+            executor.run(specs)
+        assert executor.pool is None
 
     def test_context_manager_closes_pool(self, specs):
         with SweepExecutor(jobs=2) as executor:
@@ -486,78 +481,48 @@ class TestPersistentPool:
         assert snapshot["sweep.pool.batches"]["value"] >= 2
 
 
-class TestAdaptiveChunking:
-    def test_explicit_chunksize_always_wins(self):
-        executor = SweepExecutor(jobs=2, chunksize=3)
-        executor.ewma_task_s = 10.0
-        assert executor._chunksize(10, 2) == 3
+class TestStaticChunking:
+    def test_chunks_cut_in_input_order(self, app, monkeypatch):
+        from repro.exec.pool import WorkerPool
 
-    def test_first_batch_uses_static_waves_heuristic(self):
-        executor = SweepExecutor(jobs=2)
-        assert executor.ewma_task_s is None
-        assert executor._chunksize(16, 2) == 2  # ceil(16 / (2 * 4))
+        shipped = []
+        real_map_chunks = WorkerPool.map_chunks
 
-    def test_ewma_sizes_chunks_toward_target(self):
-        executor = SweepExecutor(jobs=2)
-        executor.ewma_task_s = 0.05
-        assert executor._chunksize(100, 2) == 5  # 0.25s / 50ms
-        executor.ewma_task_s = 1.0
-        assert executor._chunksize(100, 2) == 1  # slow tasks: tiny chunks
-        executor.ewma_task_s = 0.001
-        # Fast tasks: capped so every worker still gets a chunk.
-        assert executor._chunksize(100, 2) == 50
+        def spy(pool, fn, payloads):
+            shipped.append([[index for index, _ in chunk]
+                            for chunk in payloads])
+            return real_map_chunks(pool, fn, payloads)
 
-    def test_adaptive_disabled_falls_back_to_static(self):
-        executor = SweepExecutor(jobs=2, target_chunk_s=None)
-        executor.ewma_task_s = 0.05
-        assert executor._chunksize(16, 2) == 2
-
-    def test_latency_estimate_updates_across_runs(self, specs):
-        executor = SweepExecutor()
-        assert executor.ewma_task_s is None
-        executor.run(specs)
-        first = executor.ewma_task_s
-        assert first is not None and first > 0
-        executor.run(specs)
-        assert executor.ewma_task_s is not None
-
-    def test_observe_latency_ewma_unit(self):
-        executor = SweepExecutor()
-        executor._observe_latency(1.0)
-        assert executor.ewma_task_s == 1.0
-        executor._observe_latency(0.0)
-        assert executor.ewma_task_s == pytest.approx(0.7)
-
-    def test_chunksize_recorded_in_stats(self, specs):
-        with SweepExecutor(jobs=2, chunksize=2) as executor:
+        monkeypatch.setattr(WorkerPool, "map_chunks", spy)
+        sizing = app.sizing()
+        specs = [TaskSpec.reference(app, 20, seed, sizing=sizing)
+                 for seed in range(18)]
+        with SweepExecutor(jobs=2) as executor:
             executor.run(specs)
-        assert executor.stats.chunksize == 2
-        assert executor.stats.as_dict()["chunksize"] == 2
+        # ceil(18 / (2 workers * 4 waves)) = 3 tasks per chunk.
+        assert shipped == [[list(range(at, at + 3))
+                            for at in range(0, 18, 3)]]
 
 
 class TestPresolve:
+    """A spec handed over without a sizing is solved inside
+    ``execute_task`` before its run."""
+
     def test_unsized_specs_match_presized_results(self, app):
         unsized = [TaskSpec.reference(app, 40, seed) for seed in (1, 2)]
         sized = [TaskSpec.reference(app, 40, seed, sizing=app.sizing())
                  for seed in (1, 2)]
-        executor = SweepExecutor()
-        results = executor.run(unsized)
-        assert executor.stats.presolved == len(unsized)
+        results = run_sweep(unsized)
         baseline = run_sweep(sized)
         assert [_strip(r) for r in results] == [_strip(r) for r in baseline]
-
-    def test_presized_specs_skip_presolve(self, specs):
-        executor = SweepExecutor()
-        executor.run(specs)
-        assert executor.stats.presolved == 0
 
     def test_presolve_does_not_perturb_cache_keys(self, app, tmp_path):
         unsized = [TaskSpec.reference(app, 40, seed) for seed in (1, 2)]
         SweepExecutor(cache=ResultCache(tmp_path)).run(unsized)
         warm = SweepExecutor(cache=ResultCache(tmp_path))
         warm.run(unsized)
-        # Digests come from the *original* specs, so the presolved copy
-        # never leaks into the cache key.
+        # The sizing is solved at execution, never written back into
+        # the spec, so the unsized spec keeps its cache key.
         assert warm.stats.cache_hits == len(unsized)
         assert warm.stats.executed == 0
 
@@ -565,14 +530,5 @@ class TestPresolve:
         unsized = [TaskSpec.reference(app, 40, seed)
                    for seed in (1, 2, 3, 4)]
         serial = run_sweep(unsized, jobs=1)
-        with SweepExecutor(jobs=2) as executor:
-            pooled = executor.run(unsized)
-        assert executor.stats.presolved == len(unsized)
+        pooled = run_sweep(unsized, jobs=2)
         assert [_strip(r) for r in serial] == [_strip(r) for r in pooled]
-
-    def test_presolve_counter_reaches_registry(self, app):
-        registry = MetricsRegistry()
-        unsized = [TaskSpec.reference(app, 40, seed) for seed in (1, 2)]
-        run_sweep(unsized, registry=registry)
-        snapshot = registry.snapshot()
-        assert snapshot["sweep.presolve.solved"]["value"] == 2

@@ -4,12 +4,7 @@ import os
 
 import pytest
 
-from repro.exec.pool import (
-    PoolCrashError,
-    WorkerPool,
-    fork_available,
-    warm_parent,
-)
+from repro.exec.pool import PoolCrashError, WorkerPool, fork_available
 
 pytestmark = pytest.mark.skipif(
     not fork_available(), reason="worker pool needs the fork start method"
@@ -43,16 +38,16 @@ def _crash_always(_payload):
 
 class TestMapChunks:
     def test_every_payload_delivered_once(self):
-        with WorkerPool(2, warm=None) as pool:
+        with WorkerPool(2) as pool:
             delivered = dict(pool.map_chunks(_double, [1, 2, 3, 4, 5]))
         assert delivered == {0: 2, 1: 4, 2: 6, 3: 8, 4: 10}
 
     def test_empty_payload_list(self):
-        with WorkerPool(1, warm=None) as pool:
+        with WorkerPool(1) as pool:
             assert list(pool.map_chunks(_double, [])) == []
 
     def test_task_exception_propagates_and_pool_survives(self):
-        with WorkerPool(1, warm=None) as pool:
+        with WorkerPool(1) as pool:
             with pytest.raises(ValueError, match="bad payload"):
                 list(pool.map_chunks(_boom, ["x"]))
             # An ordinary task error must not cost the workers.
@@ -62,7 +57,7 @@ class TestMapChunks:
 
 class TestPersistence:
     def test_workers_survive_across_batches(self):
-        with WorkerPool(1, warm=None) as pool:
+        with WorkerPool(1) as pool:
             first = dict(pool.map_chunks(_worker_pid, [0]))
             second = dict(pool.map_chunks(_worker_pid, [0]))
         assert first[0] == second[0]  # same process, no refork
@@ -70,7 +65,7 @@ class TestPersistence:
         assert pool.batches == 2
 
     def test_close_is_idempotent_and_restartable(self):
-        pool = WorkerPool(1, warm=None)
+        pool = WorkerPool(1)
         assert not pool.active
         pool.close()
         pool.close()
@@ -83,17 +78,6 @@ class TestPersistence:
         assert pool.forks == 2
         pool.close()
 
-    def test_warm_runs_once_per_fork(self):
-        calls = []
-        pool = WorkerPool(1, warm=lambda: calls.append(1))
-        list(pool.map_chunks(_double, [1]))
-        list(pool.map_chunks(_double, [2]))
-        assert len(calls) == 1
-        pool.close()
-        list(pool.map_chunks(_double, [3]))
-        assert len(calls) == 2
-        pool.close()
-
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ValueError):
             WorkerPool(0)
@@ -102,20 +86,20 @@ class TestPersistence:
 class TestCrashRespawn:
     def test_crashed_worker_respawned_and_chunks_resubmitted(self, tmp_path):
         flag = str(tmp_path / "crashed-once")
-        with WorkerPool(1, warm=None) as pool:
+        with WorkerPool(1) as pool:
             delivered = dict(pool.map_chunks(_crash_once, [flag]))
         assert 0 in delivered and delivered[0] > 0
         assert pool.respawns == 1
         assert os.path.exists(flag)
 
     def test_respawn_budget_exhaustion_raises(self):
-        with WorkerPool(1, warm=None, max_respawns=1) as pool:
+        with WorkerPool(1, max_respawns=1) as pool:
             with pytest.raises(PoolCrashError, match="respawn budget"):
                 list(pool.map_chunks(_crash_always, [1]))
         assert pool.respawns == 2  # initial crash + one respawned crash
 
     def test_stats_shape(self):
-        with WorkerPool(2, warm=None) as pool:
+        with WorkerPool(2) as pool:
             list(pool.map_chunks(_double, [1]))
             stats = pool.stats()
         assert stats["workers"] == 2
@@ -123,6 +107,3 @@ class TestCrashRespawn:
         assert stats["respawns"] == 0
         assert stats["batches"] == 1
 
-
-def test_warm_parent_materializes_registry():
-    assert warm_parent() == 3  # one instance per registered application

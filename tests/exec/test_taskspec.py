@@ -156,31 +156,3 @@ class TestDigest:
         b = TaskSpec.reference(app, 50, 7)
         assert hash(a) == hash(b)
         assert a == b
-
-
-class TestSizingGroup:
-    """The coarse grouping key for cache-aware scheduling: specs whose
-    sizing solve is interchangeable share a group."""
-
-    def test_same_app_different_seed_share_a_group(self, app):
-        a = TaskSpec.reference(app, 50, 7)
-        b = TaskSpec.reference(app, 50, 8)
-        assert a.digest() != b.digest()
-        assert a.sizing_group() == b.sizing_group()
-
-    def test_reference_and_duplicated_share_a_group(self, app):
-        a = TaskSpec.reference(app, 50, 7)
-        b = TaskSpec.duplicated(app, 60, 8)
-        assert a.sizing_group() == b.sizing_group()
-
-    def test_different_apps_do_not_share(self, app):
-        synthetic = SyntheticApp.bursty(seed=3)
-        assert (
-            TaskSpec.reference(app, 50, 7).sizing_group()
-            != TaskSpec.reference(synthetic, 50, 7).sizing_group()
-        )
-
-    def test_presized_specs_grouped_apart_from_unsized(self, app):
-        unsized = TaskSpec.reference(app, 50, 7)
-        sized = TaskSpec.reference(app, 50, 7, sizing=app.sizing())
-        assert unsized.sizing_group() != sized.sizing_group()

@@ -12,7 +12,7 @@ import pytest
 
 from repro.apps import ALL_APPLICATIONS
 from repro.apps.base import AppScale
-from repro.exec import ResultCache, SweepExecutor
+from repro.exec import ResultCache, SweepExecutor, run_sweep
 from repro.experiments.ablations import threshold_sweep
 from repro.experiments.table2 import run_table2, table2_specs
 from repro.experiments.table3 import run_table3
@@ -84,37 +84,21 @@ class TestCachedReplay:
         assert serial == parallel
 
 
-class TestSolverContextIdentity:
-    """Warm-start pre-solving must be invisible in the results.
+class TestUnsizedIdentity:
+    """Specs handed over without a sizing are solved at execution; the
+    results must be byte-identical to the presized specs', serial or
+    parallel."""
 
-    ``presolve_sizings`` attaches parent-side solved sizings through a
-    shared :class:`~repro.rtc.sizing.SolverContext`; the executed results
-    must be byte-identical to cold per-worker solving, serial or parallel.
-    """
-
-    def test_presolved_specs_identical_to_cold(self, app, tmp_path):
+    def test_unsized_identical_to_presized(self, app):
         import dataclasses
-
-        from repro.exec import presolve_sizings
-        from repro.rtc.sizing import SolverContext
 
         specs = table2_specs(app, runs=RUNS, warmup_tokens=WARMUP,
                              post_tokens=POST)
-        # table2_specs pre-attaches sizings; strip them to exercise the
-        # batch pre-solve path from cold specs.
+        # table2_specs pre-attaches sizings; strip them.
         stripped = [dataclasses.replace(s, sizing=None) for s in specs]
-        context = SolverContext()
-        presolved = presolve_sizings(stripped, context)
-        assert all(s.sizing is not None for s in presolved)
-        # The shared context actually warm-started: repeated interface
-        # tuples hit the memo after the first solve.
-        stats = context.stats()
-        assert stats["result_hits"] > 0
+        presized_results = run_sweep(specs, jobs=1)
+        unsized_results = run_sweep(stripped, jobs=2)
 
-        cold = SweepExecutor(jobs=1)
-        warm = SweepExecutor(jobs=2)
-        cold_results = cold.run(specs)
-        warm_results = warm.run(presolved)
         def canonical(results):
             payload = []
             for result in results:
@@ -128,26 +112,17 @@ class TestSolverContextIdentity:
                 payload.append(entry)
             return json.dumps(payload, sort_keys=True, default=str)
 
-        assert canonical(cold_results) == canonical(warm_results)
-
-    def test_presolve_respects_existing_sizing(self, app):
-        from repro.exec import presolve_sizings
-
-        specs = table2_specs(app, runs=1, warmup_tokens=WARMUP,
-                             post_tokens=POST)
-        first = presolve_sizings(specs)
-        again = presolve_sizings(first)
-        # Already-sized specs pass through untouched (same objects).
-        assert all(a is b for a, b in zip(first, again))
+        assert canonical(presized_results) == canonical(unsized_results)
 
 
 class TestExecutionMatrix:
-    """The PR 9 acceptance matrix: every combination of chunking mode,
-    worker count and dedup must be byte-identical to the plain serial
-    run, and with dedup on each unique digest executes exactly once."""
+    """The PR 9 acceptance matrix: every combination of worker count and
+    dedup must be byte-identical to the plain serial run, and with dedup
+    on each unique digest executes exactly once.  The larger input packs
+    several tasks into each pool chunk."""
 
     @pytest.fixture(scope="class")
-    def matrix_specs(self):
+    def matrix_inputs(self):
         from repro.apps.synthetic import SyntheticApp
         from repro.exec import TaskSpec
 
@@ -155,19 +130,25 @@ class TestExecutionMatrix:
         sizing = synthetic.sizing()
         unique = [
             TaskSpec.reference(synthetic, 30, seed, sizing=sizing)
-            for seed in (1, 2, 3, 4)
+            for seed in range(1, 13)
         ]
         # Two duplicates interleaved: 6 tasks, 4 unique digests.
-        return [unique[0], unique[1], unique[2],
-                unique[0], unique[3], unique[1]]
+        six = [unique[0], unique[1], unique[2],
+               unique[0], unique[3], unique[1]]
+        # Every second spec repeated: 18 tasks, 12 unique digests.
+        eighteen = []
+        for index, spec in enumerate(unique):
+            eighteen.append(spec)
+            if index % 2:
+                eighteen.append(spec)
+        return {"six": six, "eighteen": eighteen}
 
     @pytest.fixture(scope="class")
-    def baseline(self, matrix_specs):
-        from repro.exec import run_sweep
-
-        return self._canonical(
-            run_sweep(matrix_specs, jobs=1, dedup=False)
-        )
+    def baselines(self, matrix_inputs):
+        return {
+            name: self._canonical(run_sweep(specs, jobs=1, dedup=False))
+            for name, specs in matrix_inputs.items()
+        }
 
     @staticmethod
     def _canonical(results):
@@ -182,22 +163,22 @@ class TestExecutionMatrix:
             payload.append(entry)
         return json.dumps(payload, sort_keys=True, default=str)
 
+    @pytest.mark.parametrize("matrix", ["six", "eighteen"])
     @pytest.mark.parametrize("jobs", [1, 2, 4])
-    @pytest.mark.parametrize("chunksize", [1, 3, None])
     @pytest.mark.parametrize("dedup", [True, False])
     def test_byte_identical_and_exactly_once(
-        self, matrix_specs, baseline, jobs, chunksize, dedup
+        self, matrix_inputs, baselines, matrix, jobs, dedup
     ):
-        from repro.exec import run_sweep
         from repro.obs.metrics import MetricsRegistry
 
+        specs = matrix_inputs[matrix]
         registry = MetricsRegistry()
-        results = run_sweep(matrix_specs, jobs=jobs, chunksize=chunksize,
-                            dedup=dedup, registry=registry)
-        assert self._canonical(results) == baseline
+        results = run_sweep(specs, jobs=jobs, dedup=dedup,
+                            registry=registry)
+        assert self._canonical(results) == baselines[matrix]
 
-        unique = len({spec.digest() for spec in matrix_specs})
-        duplicates = len(matrix_specs) - unique
+        unique = len({spec.digest() for spec in specs})
+        duplicates = len(specs) - unique
         snapshot = registry.snapshot()
         if dedup:
             # Exactly-once execution per unique digest.
@@ -206,8 +187,7 @@ class TestExecutionMatrix:
             assert (snapshot["sweep.dedup.duplicates"]["value"]
                     == duplicates)
         else:
-            assert (snapshot["sweep.executed"]["value"]
-                    == len(matrix_specs))
+            assert snapshot["sweep.executed"]["value"] == len(specs)
             assert snapshot["sweep.dedup.duplicates"]["value"] == 0
-        assert snapshot["sweep.completed"]["value"] == len(matrix_specs)
+        assert snapshot["sweep.completed"]["value"] == len(specs)
         assert snapshot["sweep.errors"]["value"] == 0

@@ -8,7 +8,7 @@ from repro.obs import (
 )
 from repro.rtc.minplus import clear_curve_op_caches
 from repro.rtc.pjd import PJD
-from repro.rtc.sizing import SolverContext, size_duplicated_network
+from repro.rtc.sizing import size_duplicated_network
 
 
 def _solve_once():
@@ -65,21 +65,6 @@ class TestGauges:
             for field in ("hits", "misses")
         )
         assert total == per_cache
-
-    def test_context_counters_published(self):
-        registry = MetricsRegistry()
-        context = SolverContext()
-        producer = PJD(5.0, 1.0, 1.0)
-        replicas = [PJD(5.0, 2.0, 1.0), PJD(5.0, 2.5, 1.0)]
-        consumer = PJD(5.0, 1.0, 1.0)
-        size_duplicated_network(producer, replicas, replicas, consumer,
-                                context=context)
-        size_duplicated_network(producer, replicas, replicas, consumer,
-                                context=context)
-        record_rtc_cache_gauges(registry, context=context)
-        snap = registry.snapshot()
-        assert snap["rtc.ctx.result_hits"]["value"] >= 1
-        assert snap["rtc.ctx.result_misses"]["value"] >= 1
 
     def test_disabled_registry_is_noop(self):
         registry = MetricsRegistry(enabled=False)

@@ -394,3 +394,22 @@ class TestCacheCommand:
     def test_cache_requires_subcommand(self, capsys):
         with pytest.raises(SystemExit):
             main(["cache"])
+
+    @pytest.mark.parametrize("limit", ["-1", "nan"])
+    def test_prune_rejects_malformed_limit(self, tmp_path, capsys, limit):
+        cache = self._populate(tmp_path / "cache")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["cache", "--dir", str(tmp_path / "cache"),
+                  "prune", "--max-mb", limit])
+        assert exit_info.value.code == 2
+        assert "--max-mb" in capsys.readouterr().err
+        assert cache.size_stats()["entries"] == 3
+
+
+class TestMalformedNumbers:
+    def test_zero_jobs_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["campaign", "--jobs", "0", "--budget", "2",
+                  "--no-cache"])
+        assert exit_info.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
