@@ -145,18 +145,18 @@ class CampaignResult:
 def stream_summary(metrics) -> Dict[str, object]:
     """The batch-end streaming aggregate: sketch percentile digests and
     fleet counters from the executor's merged
-    :class:`~repro.obs.sketch.MetricsSnapshot`.
+    :class:`~repro.obs.metrics.MetricsRegistry`.
 
     This exact shape appears in the ``campaign-end`` ledger record and
     in the campaign report's ``stream`` section — and a ledger replay's
     merged snapshot reproduces it, which is the acceptance criterion
     the streaming tests pin.
     """
-    if metrics is None or metrics.empty:
+    if metrics is None or not metrics.names():
         return {}
     return {
         "percentiles": metrics.percentile_digests(),
-        "counters": dict(sorted(metrics.counters.items())),
+        "counters": metrics.counters,
     }
 
 

@@ -33,10 +33,9 @@ the per-task wall-time histogram), a ``progress`` callback (called once
 per finished task with a **monotone** completed count), and/or a
 :class:`~repro.obs.ledger.LedgerWriter` — the streaming path: every
 submission and completion is appended to the run ledger as it happens,
-and each result's mergeable :class:`~repro.obs.sketch.MetricsSnapshot`
-is folded into the executor's fleet-wide ``metrics`` aggregate
-(extending the ``COPY_STATS`` delta pattern), so campaign-scale
-percentiles exist without shipping raw series.
+and each result's metrics snapshot is folded into the executor's
+fleet-wide ``metrics`` registry, so campaign-scale percentiles and
+zero-copy totals exist without shipping raw series.
 
 Because every run is a pure function of its spec (seeded RNG only — see
 ``tests/experiments/test_runner.py::TestSeedPurity``), parallel, serial,
@@ -55,6 +54,7 @@ from repro.exec.pool import WorkerPool, fork_available
 from repro.exec.results import TaskResult
 from repro.exec.taskspec import TaskSpec
 from repro.exec.worker import execute_task, run_chunk
+from repro.obs.metrics import MetricsRegistry
 
 #: Chunks per worker per batch: more spreads load across workers,
 #: fewer amortises pickling and IPC.
@@ -121,11 +121,9 @@ class SweepExecutor:
         #: parallel run; ``None`` until then and after :meth:`close`).
         self.pool: Optional[WorkerPool] = None
         self._done = 0
-        # Fleet-wide mergeable aggregate over every result this executor
-        # has seen (cache hits included); reset per run().
-        from repro.obs.sketch import MetricsSnapshot
-
-        self.metrics = MetricsSnapshot()
+        # Fleet-wide aggregate over every result of the last run()
+        # (cache hits included).
+        self.metrics = MetricsRegistry()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -152,13 +150,11 @@ class SweepExecutor:
 
     def run(self, specs: Sequence[TaskSpec]) -> List[TaskResult]:
         """Execute ``specs``; returns results in input order."""
-        from repro.obs.sketch import MetricsSnapshot
-
         started = time.perf_counter()
         specs = list(specs)
         stats = SweepStats(tasks=len(specs), jobs=self.jobs)
         results: List[Optional[TaskResult]] = [None] * len(specs)
-        self.metrics = MetricsSnapshot()
+        self.metrics = MetricsRegistry()
         self._done = 0
         if self.ledger is not None:
             self.ledger.sweep_start(len(specs), self.jobs)
@@ -242,7 +238,6 @@ class SweepExecutor:
             self.pool = WorkerPool(self.jobs)
         for _, chunk_results in self.pool.map_chunks(run_chunk, chunks):
             for index, result in chunk_results:
-                self._merge_copy_stats(result)
                 self._complete(index, specs, digests, followers,
                                result, stats, results)
 
@@ -290,28 +285,13 @@ class SweepExecutor:
     def _stream(self, index, result, cache_hit: bool = False,
                 deduped: bool = False) -> None:
         """Streaming bookkeeping for one completed task: fold its
-        mergeable snapshot into the fleet aggregate and append the
+        metrics snapshot into the fleet aggregate and append the
         completion record to the run ledger (when one is attached)."""
         if result.metrics:
-            from repro.obs.sketch import MetricsSnapshot
-
-            self.metrics.merge(MetricsSnapshot.from_dict(result.metrics))
+            self.metrics.merge(MetricsRegistry.from_dict(result.metrics))
         if self.ledger is not None:
             self.ledger.task_finished(index, result, cache_hit=cache_hit,
                                       deduped=deduped)
-
-    def _merge_copy_stats(self, result) -> None:
-        """Credit a pool worker's zero-copy counters to this process.
-
-        Workers mutate their *own* ``COPY_STATS`` global; without this
-        fold the parent's accounting would silently read zero for every
-        parallel sweep.  Inline execution needs no merge — it already
-        counted in-process — so only the pool path calls this.
-        """
-        if result.copy_stats:
-            from repro.kpn.tokens import COPY_STATS
-
-            COPY_STATS.merge(result.copy_stats)
 
     # -- bookkeeping -------------------------------------------------------
 

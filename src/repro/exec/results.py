@@ -75,19 +75,14 @@ class TaskResult:
     #: The worker-side :class:`~repro.experiments.validation.
     #: ValidationReport` when the spec asked for one.
     validation: Optional[Any] = None
-    #: Zero-copy accounting delta this run contributed to the executing
-    #: process's :data:`~repro.kpn.tokens.COPY_STATS` (keys ``copies`` /
-    #: ``copied_bytes`` / ``views``).  Rides back across the pool
-    #: boundary so the parent can merge worker-side counters.
-    copy_stats: Optional[Dict[str, int]] = None
     #: Worker wall-clock for the run (set by the executor path; cache
     #: hits report the original execution's time).
     wall_time_s: float = 0.0
-    #: Serialised :class:`~repro.obs.sketch.MetricsSnapshot` of this
-    #: run (counters, gauge stats, latency sketches) — the mergeable
-    #: summary streamed into the run ledger and folded parent-side into
+    #: :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` of this run
+    #: (counters, gauge stats, latency sketches) — the mergeable summary
+    #: streamed into the run ledger and folded parent-side into
     #: fleet-wide aggregates, so raw series never cross the pool
-    #: boundary.  Same delta pattern as ``copy_stats``.
+    #: boundary.
     metrics: Optional[Dict[str, Any]] = None
     #: Fingerprint of the process that executed the run (``pid`` /
     #: ``host``); cache hits report the original executor.
@@ -140,64 +135,72 @@ class TaskResult:
         return None
 
 
-def snapshot_for_result(result: TaskResult) -> Dict[str, Any]:
-    """The serialised mergeable metrics snapshot of one task result.
+def snapshot_for_result(
+    result: TaskResult, copies: Optional[Dict[str, int]] = None
+) -> Dict[str, Any]:
+    """The metrics snapshot of one task result.
 
     Built *after* the run finished (it reads the reduced result only),
     so streaming can never perturb execution.  The snapshot carries:
 
     * counters — events, tokens, stalls, detection report counts, the
       Eq. 3/5 **false-positive count** (reports with no preceding
-      injection) and the zero-copy payload accounting;
+      injection) and the ``copy.*`` zero-copy payload accounting from
+      ``copies``, the run's ``COPY_STATS`` delta;
     * the ``detect.latency_ms`` **sketch** (first post-injection
       detection latency — the Eqs. 6–8 headline metric) plus the
       ``task.wall_ms`` sketch;
     * per-task throughput gauges, from which per-worker events/sec is
       derived ledger-side.
     """
-    from repro.obs.sketch import MetricsSnapshot
+    from repro.obs.metrics import MetricsRegistry
 
-    snap = MetricsSnapshot()
-    snap.count("tasks.total")
-    snap.count("tasks.ok" if result.ok else "tasks.error")
+    metrics = MetricsRegistry()
+
+    def count(name: str, amount: int = 1) -> None:
+        metrics.counter(name).inc(amount)
+
+    def observe(name: str, value: float) -> None:
+        metrics.histogram(name).observe(value)
+
+    count("tasks.total")
+    count("tasks.ok" if result.ok else "tasks.error")
     if result.wall_time_s:
-        snap.observe("task.wall_ms", result.wall_time_s * 1e3)
+        observe("task.wall_ms", result.wall_time_s * 1e3)
     if not result.ok:
-        return snap.as_dict()
-    snap.count("sim.events", result.events)
-    snap.count("consumer.tokens", result.token_count)
-    snap.count("consumer.stalls", result.stalls)
-    snap.count("detect.reports", len(result.detections))
+        return metrics.snapshot()
+    count("sim.events", result.events)
+    count("consumer.tokens", result.token_count)
+    count("consumer.stalls", result.stalls)
+    count("detect.reports", len(result.detections))
     false_positives = sum(
         1 for record in result.detections
         if result.injected_at is None or record.time < result.injected_at
     )
-    snap.count("detect.false_positives", false_positives)
-    if result.copy_stats:
-        for key, value in result.copy_stats.items():
-            snap.count(f"copy.{key}", value)
+    count("detect.false_positives", false_positives)
+    for key, value in (copies or {}).items():
+        count(f"copy.{key}", value)
     latency = result.detection_latency()
     if latency is not None:
-        snap.observe("detect.latency_ms", latency)
+        observe("detect.latency_ms", latency)
     for site in ("selector", "replicator"):
         site_latency = result.detection_latency(site)
         if site_latency is not None:
-            snap.observe(f"detect.latency_ms.{site}", site_latency)
+            observe(f"detect.latency_ms.{site}", site_latency)
     if result.wall_time_s:
-        snap.gauge_sample(
-            "task.events_per_sec", result.events / result.wall_time_s
+        metrics.gauge("task.events_per_sec").set(
+            result.events / result.wall_time_s
         )
     if result.recovery:
         attempts = result.recovery.get("attempts", [])
-        snap.count("recovery.attempts", len(attempts))
-        snap.count("recovery.completed",
-                   int(result.recovery.get("completed", 0)))
+        count("recovery.attempts", len(attempts))
+        count("recovery.completed", int(result.recovery.get("completed", 0)))
         for attempt in attempts:
             completed_at = attempt.get("completed_at")
             detected_at = attempt.get("detected_at")
             if completed_at is not None and detected_at is not None:
-                snap.observe("recovery.mttr_ms", completed_at - detected_at)
-    return snap.as_dict()
+                observe("recovery.mttr_ms", completed_at - detected_at)
+    return metrics.snapshot()
 
 
 def hash_values(values: Sequence[Any]) -> List[str]:

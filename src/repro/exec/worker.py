@@ -62,10 +62,10 @@ def execute_task(spec: TaskSpec) -> TaskResult:
             ok=False,
             error=f"{type(error).__name__}: {error}",
         )
-    result.copy_stats = COPY_STATS.delta(copies_before)
+    copies = COPY_STATS.delta(copies_before)
     result.wall_time_s = time.perf_counter() - start
     result.worker = {"pid": os.getpid(), "host": platform.node()}
-    result.metrics = snapshot_for_result(result)
+    result.metrics = snapshot_for_result(result, copies)
     return result
 
 

@@ -66,23 +66,20 @@ class PayloadCopyStats:
         self.copies += 1
         self.copied_bytes += nbytes
 
-    def as_dict(self) -> dict:
+    def snapshot(self) -> dict:
+        """Point-in-time copy of the counters (a plain dict)."""
         return {
             "copies": self.copies,
             "copied_bytes": self.copied_bytes,
             "views": self.views,
         }
 
-    def snapshot(self) -> dict:
-        """Point-in-time copy of the counters (a plain dict)."""
-        return self.as_dict()
-
     def delta(self, since: dict) -> dict:
         """Counter increments since an earlier :meth:`snapshot`.
 
-        The result is pickleable, so a sweep worker can ship the copies
-        *its* run performed back to the parent process (whose global
-        instance never saw them).
+        A sweep worker writes the delta of its run into the task's
+        ``copy.*`` metrics counters, which is how the copies reach the
+        parent process (whose global instance never sees them).
         """
         return {
             "copies": self.copies - since.get("copies", 0),
@@ -91,16 +88,6 @@ class PayloadCopyStats:
             "views": self.views - since.get("views", 0),
         }
 
-    def merge(self, counts: "PayloadCopyStats | dict") -> None:
-        """Fold another instance's (or snapshot's) counters into this
-        one — how the sweep executor credits worker-side copies to the
-        parent process's accounting."""
-        if isinstance(counts, PayloadCopyStats):
-            counts = counts.as_dict()
-        self.copies += counts.get("copies", 0)
-        self.copied_bytes += counts.get("copied_bytes", 0)
-        self.views += counts.get("views", 0)
-
     def __repr__(self) -> str:
         return (
             f"PayloadCopyStats(copies={self.copies}, "
@@ -108,10 +95,10 @@ class PayloadCopyStats:
         )
 
 
-#: Global payload-copy accounting (per process).  Parallel sweep workers
-#: each count their own; the executor ships per-task deltas back and
-#: :meth:`PayloadCopyStats.merge`\ s them here, so parent-side totals
-#: agree with serial execution.  Reset with ``COPY_STATS.reset()``.
+#: Global payload-copy accounting (per process), read as per-run deltas.
+#: Parallel sweep workers each count their own; fleet totals are the
+#: ``copy.*`` counters of the executor's merged ``metrics``.  Reset with
+#: ``COPY_STATS.reset()``.
 COPY_STATS = PayloadCopyStats()
 
 

@@ -3,26 +3,27 @@
 The package is organised as two halves plus two consumers:
 
 * :mod:`repro.obs.metrics` — aggregate instruments (counters, gauges,
-  histograms, time series) behind a :class:`MetricsRegistry` that is free
-  when disabled;
+  mergeable log-histogram sketches, time series) behind a
+  :class:`MetricsRegistry` that is free when disabled, and whose
+  ``snapshot()`` is the one wire and merge form of a run, a task or a
+  fleet;
 * :mod:`repro.obs.timeline` — the event-shaped record of one run
   (process transitions, fault injections, detections) plus the
   :class:`Observability` bundle runs are observed through;
 * :mod:`repro.obs.chrometrace` — Chrome-trace-event (Perfetto) export;
 * :mod:`repro.obs.report` — the ``repro report`` run-report builder;
-* the streaming half (``repro.obs.stream``): :mod:`repro.obs.sketch`
-  (mergeable metric sketches workers ship on TaskResults),
-  :mod:`repro.obs.ledger` (the ``repro.ledger/1`` append-only JSONL
-  run ledger with tolerant replay) and :mod:`repro.obs.live` (the
-  ``repro top`` renderer, Prometheus text exposition and the read-only
-  HTTP status endpoint).
+* the streaming half: :mod:`repro.obs.ledger` (the ``repro.ledger/1``
+  append-only JSONL run ledger with tolerant replay) and
+  :mod:`repro.obs.live` (the ``repro top`` renderer, Prometheus text
+  exposition and the read-only HTTP status endpoint).
 """
 
 from repro.obs.metrics import (
     DISABLED,
+    SNAPSHOT_SCHEMA,
     Counter,
     Gauge,
-    Histogram,
+    LogHistogramSketch,
     MetricsRegistry,
     TimeSeries,
 )
@@ -49,11 +50,6 @@ from repro.obs.rtccache import (
     rtc_cache_stats,
     summarize_cache_gauges,
 )
-from repro.obs.sketch import (
-    SNAPSHOT_SCHEMA,
-    LogHistogramSketch,
-    MetricsSnapshot,
-)
 from repro.obs.ledger import (
     LEDGER_SCHEMA,
     LedgerReplay,
@@ -73,7 +69,7 @@ __all__ = [
     "DISABLED",
     "Counter",
     "Gauge",
-    "Histogram",
+    "LogHistogramSketch",
     "MetricsRegistry",
     "TimeSeries",
     "InjectionMark",
@@ -92,8 +88,6 @@ __all__ = [
     "rtc_cache_stats",
     "summarize_cache_gauges",
     "SNAPSHOT_SCHEMA",
-    "LogHistogramSketch",
-    "MetricsSnapshot",
     "LEDGER_SCHEMA",
     "LedgerReplay",
     "LedgerWriter",

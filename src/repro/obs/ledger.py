@@ -8,7 +8,7 @@ after it finishes or dies:
 * a ``header`` record first (schema tag, writer fingerprint, free-form
   meta), then one record per observable step: ``sweep-start``,
   ``task-submitted``, ``task-finished`` (with the worker's mergeable
-  :class:`~repro.obs.sketch.MetricsSnapshot`, injection/detection
+  :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`, injection/detection
   instants, cache-hit flag and worker fingerprint), ``sweep-end``,
   and the campaign framing ``campaign-start`` / ``scenario-verdict`` /
   ``campaign-end``;
@@ -39,9 +39,9 @@ import platform
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.obs.sketch import MetricsSnapshot
+from repro.obs.metrics import MetricsRegistry
 
 #: Schema identifier written in the header record of every ledger.
 LEDGER_SCHEMA = "repro.ledger/1"
@@ -289,7 +289,9 @@ def read_ledger(path: Union[str, Path]) -> LedgerReplay:
     * **schema-version mismatch** in the header: warn, then still
       replay every record whose type is known — a newer ledger degrades
       to a partial view instead of an error;
-    * **missing header**: warn and replay what is there.
+    * **missing header**: warn and replay what is there;
+    * **foreign metrics payload** on a task record: warn when the status
+      is built and leave the payload out of the merged metrics.
     """
     path = Path(path)
     replay = LedgerReplay(path=str(path))
@@ -346,15 +348,33 @@ def read_ledger(path: Union[str, Path]) -> LedgerReplay:
     return replay
 
 
-def merged_snapshot(replay: LedgerReplay) -> MetricsSnapshot:
-    """Fleet-wide :class:`MetricsSnapshot` merged over every
-    ``task-finished`` record (cache hits included — they carry the
-    original execution's snapshot)."""
-    merged = MetricsSnapshot()
+def _task_metrics(replay: LedgerReplay
+                  ) -> Iterator[Tuple[Dict[str, Any], MetricsRegistry]]:
+    """``(record, metrics)`` per ``task-finished`` record.  ``metrics`` is
+    empty when the record carries none or carries a payload
+    :meth:`MetricsRegistry.from_dict` rejects; a rejection adds a replay
+    warning."""
     for record in replay.by_type("task-finished"):
         payload = record.get("metrics")
+        metrics = MetricsRegistry()
         if payload:
-            merged.merge(MetricsSnapshot.from_dict(payload))
+            try:
+                metrics = MetricsRegistry.from_dict(payload)
+            except ValueError as error:
+                replay.warnings.append(
+                    f"task {record.get('task')!r}: metrics payload "
+                    f"skipped ({error})"
+                )
+        yield record, metrics
+
+
+def merged_snapshot(replay: LedgerReplay) -> MetricsRegistry:
+    """Fleet-wide :class:`MetricsRegistry` merged over every
+    ``task-finished`` record (cache hits included — they carry the
+    original execution's snapshot)."""
+    merged = MetricsRegistry()
+    for _record, metrics in _task_metrics(replay):
+        merged.merge(metrics)
     return merged
 
 
@@ -370,35 +390,31 @@ def build_status(replay: LedgerReplay) -> Dict[str, Any]:
     last_ts = records[-1]["ts"] if records else None
     elapsed = (last_ts - first_ts) if records else None
 
-    submitted = finished = cache_hits = deduped = errors = 0
+    submitted = len(replay.by_type("task-submitted"))
+    finished = cache_hits = deduped = errors = 0
+    merged = MetricsRegistry()
     workers: Dict[str, Dict[str, float]] = {}
-    for record in records:
-        record_type = record.get("type")
-        if record_type == "task-submitted":
-            submitted += 1
-        elif record_type == "task-finished":
-            finished += 1
-            if record.get("cache_hit"):
-                cache_hits += 1
-            if record.get("ok") is False:
-                errors += 1
-            if record.get("deduped"):
-                # A shared-result duplicate repeats its leader's wall
-                # time and worker identity; counting it again would
-                # inflate that worker's throughput.
-                deduped += 1
-                continue
-            worker = record.get("worker") or {}
-            key = str(worker.get("pid", "?"))
-            stat = workers.setdefault(
-                key, {"tasks": 0, "events": 0, "wall_s": 0.0}
-            )
-            stat["tasks"] += 1
-            stat["wall_s"] += record.get("wall_s") or 0.0
-            metrics = record.get("metrics") or {}
-            stat["events"] += (metrics.get("counters") or {}).get(
-                "sim.events", 0
-            )
+    for record, metrics in _task_metrics(replay):
+        finished += 1
+        if record.get("cache_hit"):
+            cache_hits += 1
+        if record.get("ok") is False:
+            errors += 1
+        merged.merge(metrics)
+        if record.get("deduped"):
+            # A shared-result duplicate repeats its leader's wall time
+            # and worker identity; counting it again would inflate that
+            # worker's throughput.
+            deduped += 1
+            continue
+        worker = record.get("worker") or {}
+        key = str(worker.get("pid", "?"))
+        stat = workers.setdefault(
+            key, {"tasks": 0, "events": 0, "wall_s": 0.0}
+        )
+        stat["tasks"] += 1
+        stat["wall_s"] += record.get("wall_s") or 0.0
+        stat["events"] += metrics.counters.get("sim.events", 0)
 
     for stat in workers.values():
         stat["events_per_sec"] = (
@@ -478,7 +494,7 @@ def build_status(replay: LedgerReplay) -> Dict[str, Any]:
         elif remaining == 0:
             eta_s = 0.0
 
-    merged = merged_snapshot(replay)
+    snapshot = merged.snapshot()
     return {
         "schema": LEDGER_SCHEMA,
         "path": replay.path,
@@ -501,9 +517,8 @@ def build_status(replay: LedgerReplay) -> Dict[str, Any]:
         "mttf": mttf,
         "workers": workers,
         "percentiles": merged.percentile_digests(),
-        "counters": dict(sorted(merged.counters.items())),
-        "gauges": {name: dict(stat)
-                   for name, stat in sorted(merged.gauges.items())},
+        "counters": snapshot["counters"],
+        "gauges": snapshot["gauges"],
     }
 
 

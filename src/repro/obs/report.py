@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-#: Schema identifier embedded in every report.
-SCHEMA_ID = "repro.run-report/1"
+#: Schema identifier embedded in every report.  v2: ``metrics`` is the
+#: registry's ``repro.metrics-snapshot/1`` wire form.
+SCHEMA_ID = "repro.run-report/2"
 
 #: The report contract, checked by :func:`validate_report`.  Leaf values
 #: are type tuples; a list entry describes each element's shape.  ``None``

@@ -80,14 +80,16 @@ def summarize_cache_gauges(metrics: Dict[str, dict]) -> Optional[str]:
 
     ``metrics`` is a ``MetricsRegistry.snapshot()`` dictionary (the
     ``"metrics"`` section of a run report).  Returns ``None`` when the
-    gauges were never recorded.
+    gauges were never recorded.  The totals are monotone process-lifetime
+    counts, so a gauge's ``max`` is its last write.
     """
-    hits_entry = metrics.get(f"{CACHE_PREFIX}.total.hits")
-    misses_entry = metrics.get(f"{CACHE_PREFIX}.total.misses")
+    gauges = metrics.get("gauges", {})
+    hits_entry = gauges.get(f"{CACHE_PREFIX}.total.hits")
+    misses_entry = gauges.get(f"{CACHE_PREFIX}.total.misses")
     if hits_entry is None or misses_entry is None:
         return None
-    hits = hits_entry.get("value", 0)
-    misses = misses_entry.get("value", 0)
+    hits = hits_entry["max"]
+    misses = misses_entry["max"]
     lookups = hits + misses
     rate = (100.0 * hits / lookups) if lookups else 0.0
     return (

@@ -239,4 +239,4 @@ class TestRunReport:
         path = save_run_report(_scenario(tokens=40, warmup_tokens=10),
                                tmp_path / "report.json")
         document = json.loads(path.read_text())
-        assert document["schema"] == "repro.run-report/1"
+        assert document["schema"] == "repro.run-report/2"

@@ -179,15 +179,14 @@ class TestExecutionMatrix:
 
         unique = len({spec.digest() for spec in specs})
         duplicates = len(specs) - unique
-        snapshot = registry.snapshot()
+        counters = registry.counters
         if dedup:
             # Exactly-once execution per unique digest.
-            assert snapshot["sweep.executed"]["value"] == unique
-            assert snapshot["sweep.dedup.unique"]["value"] == unique
-            assert (snapshot["sweep.dedup.duplicates"]["value"]
-                    == duplicates)
+            assert counters["sweep.executed"] == unique
+            assert counters["sweep.dedup.unique"] == unique
+            assert counters["sweep.dedup.duplicates"] == duplicates
         else:
-            assert snapshot["sweep.executed"]["value"] == len(specs)
-            assert snapshot["sweep.dedup.duplicates"]["value"] == 0
-        assert snapshot["sweep.completed"]["value"] == len(specs)
-        assert snapshot["sweep.errors"]["value"] == 0
+            assert counters["sweep.executed"] == len(specs)
+            assert counters["sweep.dedup.duplicates"] == 0
+        assert counters["sweep.completed"] == len(specs)
+        assert counters["sweep.errors"] == 0

@@ -282,8 +282,12 @@ def test_streaming_telemetry_matches_goldens(name, drive_mode, tmp_path,
     appending records around the run, and the mergeable snapshot built
     from the run's reduced outputs must leave the event stream
     byte-identical to the seed engine."""
-    from repro.obs import LedgerWriter, Observability, read_ledger
-    from repro.obs.sketch import MetricsSnapshot
+    from repro.obs import (
+        LedgerWriter,
+        MetricsRegistry,
+        Observability,
+        read_ledger,
+    )
 
     golden_path = os.path.join(GOLDEN_DIR, f"{name}.json")
     with open(golden_path, "rb") as handle:
@@ -294,11 +298,11 @@ def test_streaming_telemetry_matches_goldens(name, drive_mode, tmp_path,
         ledger.sweep_start(1, jobs=1)
         ledger.task_submitted(0, "duplicated")
         trace = _trace_bytes(_scenarios()[name], obs=obs)
-        snap = MetricsSnapshot()
-        snap.count("sim.events")
-        snap.observe("detect.latency_ms", 1.0)
+        metrics = MetricsRegistry()
+        metrics.counter("sim.events").inc()
+        metrics.histogram("detect.latency_ms").observe(1.0)
         ledger.emit("task-finished", task=0, ok=True, cache_hit=False,
-                    metrics=snap.as_dict())
+                    metrics=metrics.snapshot())
         ledger.sweep_end({"tasks": 1})
     assert trace == golden, (
         f"scenario {name}: streaming telemetry perturbed the event "

@@ -112,21 +112,9 @@ class TestCopyStatsApi:
             "copies": 1, "copied_bytes": 32, "views": 2
         }
 
-    def test_merge_accepts_dict_and_instance(self):
-        from repro.kpn.tokens import PayloadCopyStats
-
-        stats = PayloadCopyStats()
-        stats.merge({"copies": 2, "copied_bytes": 20, "views": 1})
-        other = PayloadCopyStats()
-        other.count_copy(7)
-        stats.merge(other)
-        assert stats.as_dict() == {
-            "copies": 3, "copied_bytes": 27, "views": 1
-        }
-
     def test_reset_zeroes_everything(self):
         COPY_STATS.count_copy(1)
         COPY_STATS.reset()
-        assert COPY_STATS.as_dict() == {
+        assert COPY_STATS.snapshot() == {
             "copies": 0, "copied_bytes": 0, "views": 0
         }

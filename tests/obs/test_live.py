@@ -8,7 +8,6 @@ import pytest
 
 from repro.obs.ledger import LedgerWriter, read_status
 from repro.obs.live import StatusServer, render_prometheus, render_top
-from repro.obs.sketch import MetricsSnapshot
 
 from tests.obs.test_ledger import FakeDetection, FakeResult, _write_run
 

@@ -3,11 +3,9 @@
 import pytest
 
 from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
     DISABLED,
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     TimeSeries,
 )
@@ -19,7 +17,6 @@ class TestCounter:
         counter.inc()
         counter.inc(5)
         assert counter.value == 6
-        assert counter.as_dict() == {"kind": "counter", "value": 6}
 
 
 class TestGauge:
@@ -30,40 +27,26 @@ class TestGauge:
         assert gauge.value == 7.0
         assert gauge.min == -1.0
         assert gauge.max == 7.0
-        assert gauge.updates == 3
+        assert gauge.n == 3
+        assert gauge.sum == 9.0
+        # The last write is in-process only: it does not merge.
+        assert gauge.as_dict() == {"min": -1.0, "max": 7.0, "sum": 9.0,
+                                   "n": 3}
 
 
 class TestHistogram:
-    def test_bucketing(self):
-        hist = Histogram("h", buckets=(1.0, 10.0))
+    def test_empty_mean_is_none(self):
+        assert MetricsRegistry().histogram("h").mean is None
+
+    def test_registry_histogram_is_the_log_sketch(self):
+        hist = MetricsRegistry().histogram("h")
         for value in (0.5, 5.0, 5.5, 100.0):
             hist.observe(value)
-        assert hist.counts == [1, 2, 1]  # <=1, <=10, overflow
+        assert hist.kind == "sketch"
         assert hist.count == 4
         assert hist.min == 0.5
         assert hist.max == 100.0
         assert hist.mean == pytest.approx(111.0 / 4)
-
-    def test_boundary_lands_in_lower_bucket(self):
-        hist = Histogram("h", buckets=(1.0, 10.0))
-        hist.observe(1.0)
-        assert hist.counts == [1, 0, 0]
-
-    def test_empty_mean_is_none(self):
-        assert Histogram("h").mean is None
-
-    def test_needs_buckets(self):
-        with pytest.raises(ValueError):
-            Histogram("h", buckets=())
-
-    def test_as_dict_has_overflow_bucket(self):
-        hist = Histogram("h", buckets=(1.0,))
-        hist.observe(5.0)
-        buckets = hist.as_dict()["buckets"]
-        assert buckets[-1] == {"le": None, "count": 1}
-
-    def test_default_buckets_sorted(self):
-        assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)
 
 
 class TestTimeSeries:
@@ -125,13 +108,24 @@ class TestMetricsRegistry:
 
         registry = MetricsRegistry()
         registry.counter("c").inc(2)
+        registry.gauge("g").set(3.0)
         registry.histogram("h").observe(1.5)
         registry.timeseries("t").append(0.0, 4.0)
         snapshot = registry.snapshot()
         json.dumps(snapshot)  # must be serialisable as-is
-        assert snapshot["c"]["value"] == 2
-        assert snapshot["h"]["count"] == 1
-        assert snapshot["t"]["max"] == 4.0
+        assert snapshot["schema"] == "repro.metrics-snapshot/1"
+        assert snapshot["counters"] == {"c": 2}
+        assert snapshot["gauges"]["g"] == {"min": 3.0, "max": 3.0,
+                                           "sum": 3.0, "n": 1}
+        assert snapshot["sketches"]["h"]["count"] == 1
+        assert snapshot["series"]["t"]["max"] == 4.0
+
+    def test_series_stay_out_of_the_merge(self):
+        registry = MetricsRegistry()
+        registry.counter("c").inc()
+        registry.timeseries("t").append(0.0, 4.0)
+        back = MetricsRegistry.from_dict(registry.snapshot())
+        assert back.names() == ["c"]
 
 
 class TestDisabledRegistry:
@@ -144,9 +138,9 @@ class TestDisabledRegistry:
         counter.observe(1.0)
         counter.append(0.0, 1.0)
         assert registry.names() == []
-        assert registry.snapshot() == {}
+        assert registry.snapshot() == MetricsRegistry().snapshot()
 
     def test_module_singleton_is_disabled(self):
         assert DISABLED.enabled is False
         DISABLED.counter("x").inc()
-        assert DISABLED.snapshot() == {}
+        assert DISABLED.names() == []

@@ -8,6 +8,7 @@ from repro.apps.synthetic import SyntheticApp
 from repro.experiments.runner import fault_time_for, run_duplicated
 from repro.faults.models import FAIL_STOP, FaultSpec
 from repro.obs import (
+    MetricsRegistry,
     Observability,
     SCHEMA_ID,
     build_run_report,
@@ -80,8 +81,14 @@ class TestBuildRunReport:
         assert clean_report["meta"]["fault"] is None
 
     def test_metrics_snapshot_embedded(self, faulted_report):
-        assert "sim.events" in faulted_report["metrics"]
-        assert faulted_report["metrics"]["sim.events"]["value"] > 0
+        metrics = faulted_report["metrics"]
+        assert metrics["counters"]["sim.events"] > 0
+        # One histogram type end to end: the run report carries the same
+        # mergeable sketch the ledger does.
+        latency = metrics["sketches"]["detect.latency_ms"]
+        assert latency["kind"] == "sketch" and latency["count"] >= 1
+        assert MetricsRegistry.from_dict(metrics).counters == \
+            metrics["counters"]
 
     def test_unobserved_run_still_reports(self):
         app = SyntheticApp(seed=2)

@@ -53,13 +53,13 @@ class TestGauges:
         registry = MetricsRegistry()
         _solve_once()
         record_rtc_cache_gauges(registry)
-        snap = registry.snapshot()
-        assert "rtc.cache.sizing.hits" in snap
-        assert "rtc.cache.total.misses" in snap
-        total = (snap["rtc.cache.total.hits"]["value"]
-                 + snap["rtc.cache.total.misses"]["value"])
+        gauges = registry.snapshot()["gauges"]
+        assert "rtc.cache.sizing.hits" in gauges
+        assert "rtc.cache.total.misses" in gauges
+        total = (gauges["rtc.cache.total.hits"]["max"]
+                 + gauges["rtc.cache.total.misses"]["max"])
         per_cache = sum(
-            snap[f"rtc.cache.{name}.{field}"]["value"]
+            gauges[f"rtc.cache.{name}.{field}"]["max"]
             for name in ("minplus_conv", "minplus_deconv", "maxplus_conv",
                          "pjd_upper", "pjd_lower", "sizing")
             for field in ("hits", "misses")
@@ -69,7 +69,7 @@ class TestGauges:
     def test_disabled_registry_is_noop(self):
         registry = MetricsRegistry(enabled=False)
         record_rtc_cache_gauges(registry)
-        assert registry.snapshot() == {}
+        assert registry.names() == []
 
 
 class TestSummary:

@@ -86,4 +86,4 @@ class TestObservability:
         # The timeline still records events; only metrics are no-ops.
         obs.timeline.transition(0.0, "p", "start")
         assert len(obs.timeline.transitions) == 1
-        assert obs.registry.snapshot() == {}
+        assert obs.registry.names() == []
