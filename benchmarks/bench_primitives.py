@@ -198,16 +198,15 @@ def test_sweep_throughput_jobs2(benchmark):
 
 def test_sweep_throughput_multibatch(benchmark):
     """Three consecutive sweep batches over a 50 %-duplicate scenario
-    matrix (jobs=2) through one persistent executor.
+    matrix (jobs=2) through one executor.
 
-    The campaign / DSE pattern: each round forks the warm pool once,
-    then runs three batches whose specs are half duplicates — digest
-    dedup executes each unique spec once per batch and the pool (plus
-    the per-worker warm solver state and the adaptive chunker's latency
-    estimate) carries across batches.  The recorded trajectory delta vs
-    the pre-persistent-pool executor is asserted by the interleaved
-    ``measure_sweep_gain`` gate in ``repro bench`` / bench_compare
-    (structural >= 2x on a 50 %-duplicate matrix; CI floor softer).
+    The campaign pattern: each round forks the executor's worker pool
+    once, then runs three batches whose specs are half duplicates —
+    digest dedup executes each unique spec once per batch and the pool
+    serves every batch.  The gain over a fresh, dedup-free executor per
+    batch is asserted by the interleaved ``measure_sweep_gain`` gate of
+    ``repro bench`` (structural >= 2x on a 50 %-duplicate matrix; the
+    gate floor is softer).
     """
     from repro.exec import SweepExecutor
     from repro.tools.bench_compare import sweep_gain_specs

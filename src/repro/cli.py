@@ -41,12 +41,11 @@ Commands
     completes, ``--json PATH`` writes the status document, ``--port N``
     serves it over HTTP (JSON + Prometheus text) instead of rendering.
 ``bench``
-    Run the primitive benchmark suite and append a labelled run (with
-    the machine fingerprint of this host) to the
-    ``BENCH_primitives.json`` trajectory (the scripted replacement for
-    the manual capture flow; ``--dry-run`` compares without recording;
-    ``--profile [DIR]`` additionally saves one cProfile/pstats dump per
-    benchmark).
+    The perf-regression harness, :func:`repro.tools.bench_compare.main`
+    (also ``repro-bench-compare`` and ``tools/bench_compare.py``): run
+    the primitive benchmark suite, compare it against
+    ``BENCH_primitives.json``, run the paired gates and append a
+    labelled run with this host's machine fingerprint.
 
 ``tables`` and ``reproduce`` drive their sweeps through the
 :mod:`repro.exec` executor: ``--jobs/-j N`` fans runs across N worker
@@ -57,13 +56,13 @@ disables the cache, ``--refresh`` recomputes but re-stores).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from typing import Optional, Sequence
 
 from repro.apps import ALL_APPLICATIONS
 from repro.apps.base import AppScale
 from repro.rtc.pjd import PJD
+from repro.tools import bench_compare, finite_non_negative
 
 _APPS = {cls.name: cls for cls in ALL_APPLICATIONS}
 
@@ -93,19 +92,6 @@ def _positive_int(text: str) -> int:
         pass
     raise argparse.ArgumentTypeError(
         f"expected a positive integer, got {text!r}"
-    )
-
-
-def _size_mb(text: str) -> float:
-    """A finite, non-negative size in MiB."""
-    try:
-        value = float(text)
-        if math.isfinite(value) and value >= 0:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(
-        f"expected a finite size >= 0, got {text!r}"
     )
 
 
@@ -579,87 +565,6 @@ def _cmd_cache(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from pathlib import Path
-
-    from repro.tools.bench_compare import (
-        BenchCompareError,
-        OBS_OVERHEAD_PCT,
-        RESULTS_FILENAME,
-        SWEEP_GAIN_MIN,
-        _utc_now,
-        format_report,
-        load_db,
-        machine_fingerprint,
-        measure_obs_overhead,
-        measure_sweep_gain,
-        obs_overhead_check,
-        run_benchmarks,
-        save_db,
-        sweep_gain_check,
-    )
-
-    if args.repo_root is not None:
-        repo_root = Path(args.repo_root).resolve()
-    else:
-        # src/repro/cli.py -> repo root two levels above the package.
-        repo_root = Path(__file__).resolve().parents[2]
-    db_path = repo_root / RESULTS_FILENAME
-    profile_dir = None
-    if args.profile is not None:
-        profile_dir = Path(args.profile)
-        if not profile_dir.is_absolute():
-            profile_dir = repo_root / profile_dir
-    try:
-        db = load_db(db_path)
-        if db is None:
-            print(f"error: no {RESULTS_FILENAME} at {repo_root}; "
-                  "bootstrap it with "
-                  "'python tools/bench_compare.py --update-baseline'",
-                  file=sys.stderr)
-            return 2
-        results = run_benchmarks(
-            repo_root, smoke=False, profile_dir=profile_dir
-        )
-    except BenchCompareError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    print(f"baseline: {db['baseline'].get('label', '?')} "
-          f"({db['baseline'].get('captured', '?')})")
-    print(format_report(db["baseline"]["results"], results))
-    # Gate the streaming-observability budget on an interleaved A/B
-    # measurement (drift-immune), not the sequential benchmark pair.
-    overhead = measure_obs_overhead()
-    print(f"\nstreaming obs overhead (interleaved): {overhead:+.1f} % "
-          f"(budget {OBS_OVERHEAD_PCT:.1f} %)")
-    obs_failure = obs_overhead_check(overhead)
-    if obs_failure:
-        print(f"\nFAIL: {obs_failure}", file=sys.stderr)
-        return 1
-    # Likewise interleaved: multi-batch sweep gain of the persistent
-    # dedup executor over the legacy per-batch configuration.
-    gain = measure_sweep_gain()
-    print(f"multi-batch sweep gain (interleaved): {gain:.2f}x "
-          f"(floor {SWEEP_GAIN_MIN:.2f}x)")
-    gain_failure = sweep_gain_check(gain)
-    if gain_failure:
-        print(f"\nFAIL: {gain_failure}", file=sys.stderr)
-        return 1
-    if profile_dir is not None:
-        dumps = sorted(profile_dir.glob("profile-*.prof"))
-        print(f"\n{len(dumps)} cProfile dump(s) in {profile_dir} "
-              "(inspect with python -m pstats <file>)")
-    if args.dry_run:
-        print("\ndry run: trajectory not recorded")
-        return 0
-    entry = {"label": args.label, "captured": _utc_now(),
-             "machine": machine_fingerprint(), "results": results}
-    db.setdefault("runs", []).append(entry)
-    save_db(db_path, db)
-    print(f"\nrun '{args.label}' appended to {db_path}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -855,32 +760,19 @@ def build_parser() -> argparse.ArgumentParser:
         "prune",
         help="evict oldest entries until the cache fits a size budget",
     )
-    prune.add_argument("--max-mb", type=_size_mb, required=True, metavar="MB",
+    prune.add_argument("--max-mb", type=finite_non_negative, required=True, metavar="MB",
                        help="target maximum cache size in MiB")
     cache.set_defaults(func=_cmd_cache)
 
+    # The harness owns its options: with "+" as its only option prefix,
+    # this subparser hands every argument through to it verbatim.
     bench = sub.add_parser(
-        "bench",
-        help="run the primitive benchmarks and append a labelled run "
-             "to BENCH_primitives.json",
+        "bench", add_help=False, prefix_chars="+",
+        help="run the primitive benchmark harness "
+             "(options: repro bench --help)",
     )
-    bench.add_argument("--label", required=True,
-                       help="label recorded with this run in the "
-                            "trajectory (e.g. the change being measured)")
-    bench.add_argument("--repo-root", default=None, metavar="DIR",
-                       help="repository root holding "
-                            "BENCH_primitives.json and benchmarks/ "
-                            "(default: auto-detected from the package)")
-    bench.add_argument("--dry-run", action="store_true",
-                       help="print the comparison without appending "
-                            "to the trajectory")
-    bench.add_argument("--profile", nargs="?", const="benchmarks/profiles",
-                       default=None, metavar="DIR",
-                       help="additionally run every benchmark under "
-                            "cProfile and save one pstats dump per "
-                            "benchmark into DIR (default when given "
-                            "without a value: %(const)s)")
-    bench.set_defaults(func=_cmd_bench)
+    bench.add_argument("argv", nargs="*")
+    bench.set_defaults(func=lambda args: bench_compare.main(args.argv))
     return parser
 
 

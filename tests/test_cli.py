@@ -225,6 +225,8 @@ class TestCampaignCommand:
 
 
 class TestBenchCommand:
+    """``repro bench ARGS`` is the harness's ``main`` under another name."""
+
     def _seed_db(self, root):
         import json
 
@@ -239,7 +241,7 @@ class TestBenchCommand:
         (root / "BENCH_primitives.json").write_text(json.dumps(db))
         return db
 
-    def _fake_run_benchmarks(self, monkeypatch):
+    def _fake_run_benchmarks(self, monkeypatch, min_s=1e-3):
         import repro.tools.bench_compare as bc
 
         calls = {}
@@ -249,16 +251,13 @@ class TestBenchCommand:
             if profile_dir is not None:
                 profile_dir.mkdir(parents=True, exist_ok=True)
                 (profile_dir / "profile-test_a.prof").write_bytes(b"")
-            return {"a": {"mean": 1e-3, "min": 1e-3, "rounds": 5}}
+            return {"a": {"mean": min_s, "min": min_s, "rounds": 5}}
 
         monkeypatch.setattr(bc, "run_benchmarks", fake)
-        # The interleaved overhead gate times real sweeps — pin it so
-        # CLI plumbing tests stay fast and immune to host load.
-        monkeypatch.setattr(bc, "measure_obs_overhead", lambda: 0.0)
         return calls
 
     def test_bench_records_run_with_fingerprint(
-            self, tmp_path, monkeypatch, capsys):
+            self, tmp_path, monkeypatch, capsys, pinned_gates):
         import json
 
         from repro.tools.bench_compare import machine_fingerprint
@@ -273,28 +272,48 @@ class TestBenchCommand:
         assert db["runs"][-1]["machine"] == machine_fingerprint()
 
     def test_bench_profile_reports_dumps(
-            self, tmp_path, monkeypatch, capsys):
+            self, tmp_path, monkeypatch, capsys, pinned_gates):
         self._seed_db(tmp_path)
+        before = (tmp_path / "BENCH_primitives.json").read_bytes()
         calls = self._fake_run_benchmarks(monkeypatch)
-        code = main(["bench", "--label", "probe",
-                     "--repo-root", str(tmp_path),
-                     "--profile", str(tmp_path / "profs"), "--dry-run"])
+        code = main(["bench", "--repo-root", str(tmp_path),
+                     "--smoke", "--profile", str(tmp_path / "profs")])
         assert code == 0
         assert calls["profile_dir"] == tmp_path / "profs"
-        out = capsys.readouterr().out
-        assert "1 cProfile dump(s)" in out
-        assert "dry run" in out
+        assert "1 cProfile dump(s)" in capsys.readouterr().out
+        # --smoke profiles without recording.
+        assert (tmp_path / "BENCH_primitives.json").read_bytes() == before
 
     def test_bench_profile_defaults_under_repo_root(
-            self, tmp_path, monkeypatch):
+            self, tmp_path, monkeypatch, pinned_gates):
         self._seed_db(tmp_path)
         calls = self._fake_run_benchmarks(monkeypatch)
-        code = main(["bench", "--label", "probe",
-                     "--repo-root", str(tmp_path),
-                     "--profile", "--dry-run"])
+        code = main(["bench", "--repo-root", str(tmp_path),
+                     "--profile", "--fail-on-regression", "15"])
         assert code == 0
         assert calls["profile_dir"] == tmp_path / "benchmarks" / "profiles"
 
+    @pytest.mark.parametrize("min_s, expected", [(1e-3, 0), (2e-3, 1)])
+    def test_bench_alias_matches_harness_main(
+            self, tmp_path, monkeypatch, pinned_gates, min_s, expected):
+        """Same exit code, trajectory left byte-identical, on a pass and
+        on a same-machine regression."""
+        import json
+
+        from repro.tools import bench_compare
+
+        db = self._seed_db(tmp_path)
+        db["runs"].append(dict(db["baseline"], label="latest",
+                               machine=bench_compare.machine_fingerprint()))
+        path = tmp_path / "BENCH_primitives.json"
+        path.write_text(json.dumps(db))
+        before = path.read_bytes()
+        self._fake_run_benchmarks(monkeypatch, min_s)
+        argv = ["--repo-root", str(tmp_path), "--fail-on-regression", "15"]
+        assert main(["bench", *argv]) == expected
+        assert path.read_bytes() == before
+        assert bench_compare.main(argv) == expected
+        assert path.read_bytes() == before
 
 class TestStreamingCli:
     def _run_streamed_campaign(self, tmp_path):

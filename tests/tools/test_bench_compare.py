@@ -6,19 +6,17 @@ import pytest
 
 from repro.tools.bench_compare import (
     DEFAULT_THRESHOLD_PCT,
-    OBS_BENCH_BASE,
-    OBS_BENCH_STREAMING,
     RESULTS_FILENAME,
     BenchCompareError,
     compare,
     extract_results,
     format_report,
+    interleave,
     latest_reference,
     load_db,
     machine_fingerprint,
     main,
     obs_overhead_check,
-    obs_overhead_pct,
     same_machine,
     save_db,
     self_test,
@@ -28,6 +26,16 @@ from repro.tools.bench_compare import (
 def stats(min_s, mean_s=None, rounds=10):
     return {"mean": mean_s if mean_s is not None else min_s * 1.1,
             "min": min_s, "rounds": rounds}
+
+
+def fake_results(monkeypatch, results):
+    """Make the harness "measure" ``results`` instead of running pytest."""
+    import repro.tools.bench_compare as bc
+
+    monkeypatch.setattr(
+        bc, "run_benchmarks",
+        lambda root, smoke, profile_dir=None: results,
+    )
 
 
 class TestCompare:
@@ -137,41 +145,86 @@ class TestFailOnRegression:
         )["label"] == "seed"
 
     def test_gates_against_latest_run_not_baseline(
-            self, tmp_path, monkeypatch):
-        import repro.tools.bench_compare as bc
-
+            self, tmp_path, monkeypatch, pinned_gates):
         db = self._seed_db(tmp_path)
-        monkeypatch.setattr(bc, "measure_obs_overhead", lambda: 0.0)
         # +5 % vs the latest run (but +320 % vs the seed baseline):
         # the gate compares against the latest run, so this passes.
-        monkeypatch.setattr(
-            bc, "run_benchmarks", lambda root, smoke: {"a": stats(4.2e-3)}
-        )
+        fake_results(monkeypatch, {"a": stats(4.2e-3)})
         argv = ["--repo-root", str(tmp_path), "--fail-on-regression", "15"]
-        assert bc.main(argv) == 0
+        assert main(argv) == 0
         # +50 % vs the latest run: flagged.
-        monkeypatch.setattr(
-            bc, "run_benchmarks", lambda root, smoke: {"a": stats(6e-3)}
-        )
-        assert bc.main(argv) == 1
+        fake_results(monkeypatch, {"a": stats(6e-3)})
+        assert main(argv) == 1
         # The gate is read-only either way.
         assert load_db(tmp_path / RESULTS_FILENAME) == db
 
 
+class TestThresholdValidation:
+    """Malformed thresholds must fail loudly, not disable the gate."""
+
+    @pytest.mark.parametrize("option",
+                             ["--threshold", "--fail-on-regression"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_malformed_threshold_exits_2(
+            self, tmp_path, capsys, option, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["--repo-root", str(tmp_path), option, value])
+        assert exc.value.code == 2
+        assert "finite number >= 0" in capsys.readouterr().err
+
+
+class TestInterleave:
+    """The one timed A/B loop both paired gates run through."""
+
+    def _sides(self, a_times, b_times):
+        calls = []
+        a_iter, b_iter = iter(a_times), iter(b_times)
+
+        def run_a():
+            calls.append("a")
+            return next(a_iter)
+
+        def run_b():
+            calls.append("b")
+            return next(b_iter)
+
+        return calls, run_a, run_b
+
+    def test_order_alternates_after_one_warm_up_per_side(self):
+        calls, run_a, run_b = self._sides([1.0] * 5, [1.0] * 5)
+        interleave(run_a, run_b, 4)
+        assert calls == ["a", "b",  # warm-up
+                         "a", "b", "b", "a", "a", "b", "b", "a"]
+
+    def test_warm_up_calls_are_not_counted(self):
+        _calls, run_a, run_b = self._sides([100.0, 3.0, 1.0, 2.0],
+                                           [100.0, 6.0, 2.0, 4.0])
+        result = interleave(run_a, run_b, 3)
+        assert result.a.times == (3.0, 1.0, 2.0)
+        assert result.b.times == (6.0, 2.0, 4.0)
+
+    def test_min_median_iqr_and_ratio(self):
+        _calls, run_a, run_b = self._sides(
+            [0.0, 4.0, 1.0, 3.0, 2.0, 5.0],
+            [0.0, 10.0, 2.0, 6.0, 4.0, 8.0],
+        )
+        result = interleave(run_a, run_b, 5)
+        assert sorted(result.a.times) == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert (result.a.min, result.a.median) == (1.0, 3.0)
+        assert result.a.iqr == pytest.approx(2.0)  # q3 4.0 - q1 2.0
+        assert (result.b.min, result.b.median) == (2.0, 6.0)
+        assert result.b.iqr == pytest.approx(4.0)
+        assert result.ratio == pytest.approx(2.0)  # min(b) / min(a)
+
+    def test_single_round_has_zero_iqr(self):
+        _calls, run_a, run_b = self._sides([0.0, 2.0], [0.0, 3.0])
+        result = interleave(run_a, run_b, 1)
+        assert result.a.iqr == 0.0
+        assert result.ratio == pytest.approx(1.5)
+
+
 class TestObsOverhead:
     """The interleaved streaming-overhead budget (obs satellite)."""
-
-    def _pair(self, base_s, streaming_s):
-        return {OBS_BENCH_BASE: stats(base_s),
-                OBS_BENCH_STREAMING: stats(streaming_s)}
-
-    def test_recorded_delta_is_paired_percentage(self):
-        results = self._pair(1.0e-2, 1.03e-2)
-        assert obs_overhead_pct(results) == pytest.approx(3.0)
-
-    def test_incomplete_pair_is_inconclusive(self):
-        assert obs_overhead_pct({OBS_BENCH_BASE: stats(1e-2)}) is None
-        assert obs_overhead_pct({}) is None
 
     def test_within_budget_passes(self):
         assert obs_overhead_check(4.0) is None
@@ -190,8 +243,8 @@ class TestObsOverhead:
     def test_measurement_machinery_runs(self):
         """The interleaved measurement produces a finite percentage.
 
-        The binding < 5 % assertion lives in ``repro bench`` (the CI
-        bench job), where the full-round measurement runs on an
+        The binding < 5 % assertion lives in the full harness run (the
+        CI bench job), where the full-round measurement runs on an
         otherwise idle host; asserting a live timing budget inside the
         unit suite would flake under suite-induced load.
         """
@@ -204,24 +257,37 @@ class TestObsOverhead:
         assert math.isfinite(overhead)
 
     def test_full_run_gates_but_smoke_does_not(
-            self, tmp_path, monkeypatch, capsys):
-        import repro.tools.bench_compare as bc
-
-        results = self._pair(1.0e-2, 1.02e-2)
+            self, tmp_path, monkeypatch, capsys, pinned_gates):
+        results = {"a": stats(1.0e-2)}
         db = {"version": 1,
               "baseline": {"label": "seed",
                            "machine": machine_fingerprint(),
                            "results": results},
               "runs": []}
         save_db(tmp_path / RESULTS_FILENAME, db)
-        monkeypatch.setattr(
-            bc, "run_benchmarks", lambda root, smoke: results
-        )
-        monkeypatch.setattr(bc, "measure_obs_overhead", lambda: 30.0)
-        assert bc.main(["--repo-root", str(tmp_path)]) == 1
+        fake_results(monkeypatch, results)
+        pinned_gates["obs"] = 30.0
+        assert main(["--repo-root", str(tmp_path)]) == 1
         assert "streaming overhead" in capsys.readouterr().err
+        # A failed gate records nothing.
+        assert load_db(tmp_path / RESULTS_FILENAME) == db
         # The smoke pass never runs the interleaved gate.
-        assert bc.main(["--repo-root", str(tmp_path), "--smoke"]) == 0
+        assert main(["--repo-root", str(tmp_path), "--smoke"]) == 0
+
+
+class TestSweepGain:
+    def test_shortfall_fails_full_run(
+            self, tmp_path, monkeypatch, capsys, pinned_gates):
+        results = {"a": stats(1.0e-2)}
+        db = {"version": 1,
+              "baseline": {"label": "seed", "results": results},
+              "runs": []}
+        save_db(tmp_path / RESULTS_FILENAME, db)
+        fake_results(monkeypatch, results)
+        pinned_gates["gain"] = 1.2
+        assert main(["--repo-root", str(tmp_path)]) == 1
+        assert "sweep gain 1.20x" in capsys.readouterr().err
+        assert load_db(tmp_path / RESULTS_FILENAME) == db
 
 
 class TestMachineFingerprint:
@@ -240,11 +306,9 @@ class TestMachineFingerprint:
         assert not same_machine({"label": "legacy", "results": {}})
 
     def test_regression_across_machines_warns_not_fails(
-            self, tmp_path, monkeypatch, capsys):
+            self, tmp_path, monkeypatch, capsys, pinned_gates):
         """A slowdown vs a run recorded on another machine must not
         gate CI — absolute timings are only comparable per-host."""
-        import repro.tools.bench_compare as bc
-
         foreign = dict(machine_fingerprint(), cpu="some other cpu")
         db = {
             "version": 1,
@@ -253,29 +317,35 @@ class TestMachineFingerprint:
                       "results": {"a": stats(4e-3)}}],
         }
         save_db(tmp_path / RESULTS_FILENAME, db)
-        monkeypatch.setattr(bc, "measure_obs_overhead", lambda: 0.0)
-        monkeypatch.setattr(
-            bc, "run_benchmarks", lambda root, smoke: {"a": stats(6e-3)}
-        )
+        fake_results(monkeypatch, {"a": stats(6e-3)})
         argv = ["--repo-root", str(tmp_path), "--fail-on-regression", "15"]
-        assert bc.main(argv) == 0
+        assert main(argv) == 0
         assert "WARN" in capsys.readouterr().err
 
-    def test_recorded_runs_carry_fingerprint(
-            self, tmp_path, monkeypatch):
-        import repro.tools.bench_compare as bc
+    def test_same_machine_regression_fails_and_records_nothing(
+            self, tmp_path, monkeypatch, capsys, pinned_gates):
+        db = {
+            "version": 1,
+            "baseline": {"label": "seed", "machine": machine_fingerprint(),
+                         "results": {"a": stats(1e-3)}},
+            "runs": [],
+        }
+        save_db(tmp_path / RESULTS_FILENAME, db)
+        fake_results(monkeypatch, {"a": stats(2e-3)})
+        assert main(["--repo-root", str(tmp_path)]) == 1
+        assert "1 regression(s)" in capsys.readouterr().err
+        assert load_db(tmp_path / RESULTS_FILENAME) == db
 
+    def test_recorded_runs_carry_fingerprint(
+            self, tmp_path, monkeypatch, pinned_gates):
         db = {
             "version": 1,
             "baseline": {"label": "seed", "results": {"a": stats(1e-3)}},
             "runs": [],
         }
         save_db(tmp_path / RESULTS_FILENAME, db)
-        monkeypatch.setattr(bc, "measure_obs_overhead", lambda: 0.0)
-        monkeypatch.setattr(
-            bc, "run_benchmarks", lambda root, smoke: {"a": stats(1e-3)}
-        )
-        assert bc.main(
+        fake_results(monkeypatch, {"a": stats(1e-3)})
+        assert main(
             ["--repo-root", str(tmp_path), "--label", "probe"]
         ) == 0
         recorded = load_db(tmp_path / RESULTS_FILENAME)

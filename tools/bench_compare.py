@@ -1,21 +1,17 @@
 #!/usr/bin/env python
 """Repo-root entry point for the perf-regression harness.
 
-Thin shim over :mod:`repro.tools.bench_compare` that anchors the repo
-root at this file's location, so ``python tools/bench_compare.py`` works
-from anywhere without installing the package.
+Thin shim over :mod:`repro.tools.bench_compare`, so ``python
+tools/bench_compare.py`` works from anywhere without installing the
+package.
 """
 
 import sys
 from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.tools.bench_compare import main  # noqa: E402
 
 if __name__ == "__main__":
-    argv = sys.argv[1:]
-    if not any(arg.startswith("--repo-root") for arg in argv):
-        argv = ["--repo-root", str(REPO_ROOT)] + argv
-    sys.exit(main(argv))
+    sys.exit(main())
