@@ -7,9 +7,13 @@ channels and with the SCC MPB/mesh latency model installed on the
 framework channels — and compares fills and detection latencies.
 """
 
+import dataclasses
+
 from repro.analysis.tables import format_table
 from repro.apps import MjpegDecoderApp
-from repro.experiments.runner import fault_time_for, run_duplicated
+from repro.core.duplicate import build_duplicated
+from repro.experiments.runner import MAX_EVENTS_PER_TOKEN, fault_time_for
+from repro.faults.injector import FaultInjector
 from repro.faults.models import FAIL_STOP, FaultSpec
 from repro.scc.chip import SccChip
 from repro.scc.mapping import Mapping
@@ -20,6 +24,7 @@ WARMUP = 80
 
 
 def _measure(app, sizing, transfer_latency):
+    tokens = WARMUP + 30
     latencies = []
     fills = {"R1": 0, "R2": 0, "S": 0}
     for r in range(RUNS):
@@ -30,15 +35,25 @@ def _measure(app, sizing, transfer_latency):
                                 phase=0.1 + 0.08 * r),
             kind=FAIL_STOP,
         )
-        run = run_duplicated(app, WARMUP + 30, seed, fault=fault,
-                             sizing=sizing,
-                             transfer_latency=transfer_latency)
-        latencies.append(run.detection_latency("selector"))
-        fills["R1"] = max(fills["R1"],
-                          run.max_fills.get("replicator.R1", 0))
-        fills["R2"] = max(fills["R2"],
-                          run.max_fills.get("replicator.R2", 0))
-        fills["S"] = max(fills["S"], run.max_fills.get("selector.S", 0))
+        # The latency model goes on the blueprint, so every framework
+        # channel of the duplicated network carries it.
+        blueprint = dataclasses.replace(
+            app.blueprint(tokens, tokens + sizing.selector_priming,
+                          seed=seed),
+            transfer_latency=transfer_latency,
+        )
+        duplicated = build_duplicated(blueprint, sizing)
+        sim = duplicated.network.instantiate()
+        injector = FaultInjector(fault)
+        injector.arm(sim, duplicated)
+        sim.run(max_events=tokens * MAX_EVENTS_PER_TOKEN)
+        latencies.append(
+            injector.detection_latency(duplicated, site="selector")
+        )
+        max_fills = duplicated.network.max_fills()
+        fills["R1"] = max(fills["R1"], max_fills.get("replicator.R1", 0))
+        fills["R2"] = max(fills["R2"], max_fills.get("replicator.R2", 0))
+        fills["S"] = max(fills["S"], max_fills.get("selector.S", 0))
     mean = sum(latencies) / len(latencies)
     return mean, fills
 

@@ -23,19 +23,9 @@ from repro.rtc.pjd import PJD
 class SplitStream(Process):
     """Fan a composite token out to parallel workers.
 
-    Two splitting modes, chosen at construction:
-
-    * **element mode** (default) — the incoming token's value must be a
-      sequence with one element per output; element ``i`` goes to output
-      ``i``.  Models the MJPEG ``splitstream`` process over pre-striped
-      payloads.
-    * **zero-copy mode** (``zero_copy=True``) — the incoming token's
-      value is one contiguous byte buffer; output ``i`` receives a
-      read-only ``memoryview`` sub-token (:meth:`Token.view`) over its
-      byte range, so no payload bytes are copied at the fan-out.  Ranges
-      come from ``boundaries(buffer)`` (``fanout + 1`` ascending offsets)
-      or default to an even byte split with the remainder on the last
-      stripe.
+    The incoming token's value must be a sequence with one element per
+    output; element ``i`` goes to output ``i``.  Models the MJPEG
+    ``splitstream`` process over pre-striped payloads.
     """
 
     def __init__(
@@ -44,33 +34,14 @@ class SplitStream(Process):
         fanout: int,
         service_ms: float = 0.0,
         part_size: Optional[Callable[[Any], int]] = None,
-        zero_copy: bool = False,
-        boundaries: Optional[Callable[[Any], Sequence[int]]] = None,
     ) -> None:
         super().__init__(name)
         self.fanout = fanout
         self.service_ms = service_ms
         self.part_size = part_size or (lambda part: 0)
-        self.zero_copy = zero_copy
-        self.boundaries = boundaries
         self.input: Optional[ReadEndpoint] = None
         self.outputs: List[Optional[WriteEndpoint]] = [None] * fanout
         self.processed = 0
-
-    def _offsets(self, buffer) -> Sequence[int]:
-        if self.boundaries is not None:
-            offsets = list(self.boundaries(buffer))
-            if len(offsets) != self.fanout + 1:
-                raise ProtocolError(
-                    f"{self.name}: boundaries() returned {len(offsets)} "
-                    f"offsets, expected {self.fanout + 1}"
-                )
-            return offsets
-        nbytes = memoryview(buffer).nbytes
-        stride = nbytes // self.fanout
-        offsets = [i * stride for i in range(self.fanout)]
-        offsets.append(nbytes)
-        return offsets
 
     def behavior(self):
         if self.input is None or any(o is None for o in self.outputs):
@@ -79,17 +50,6 @@ class SplitStream(Process):
             token = yield Read(self.input)
             if self.service_ms > 0:
                 yield Delay(self.service_ms * self.slowdown)
-            if self.zero_copy:
-                offsets = self._offsets(token.value)
-                for i in range(self.fanout):
-                    # stamp per write — a blocked Write advances self.now,
-                    # matching element mode's per-part stamping.
-                    out = token.view(
-                        offsets[i], offsets[i + 1], origin=self.name
-                    ).stamped(self.now)
-                    yield Write(self.outputs[i], out)
-                self.processed += 1
-                continue
             parts = token.value
             if len(parts) != self.fanout:
                 raise ProtocolError(

@@ -19,7 +19,7 @@ oracle                 paper claim it checks
 
 Failing scenarios are shrunk to minimal reproducers
 (:mod:`repro.campaign.shrink`) and persisted as replayable TaskSpec JSON
-plus a ``repro.run-report/1`` artifact (:mod:`repro.campaign.persist`).
+plus a ``repro.run-report`` artifact (:mod:`repro.campaign.persist`).
 ``repro campaign`` drives it from the command line.
 """
 

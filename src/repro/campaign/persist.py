@@ -181,7 +181,7 @@ def save_run_report(
     scenario: Scenario, path: Union[str, Path]
 ) -> Path:
     """Run one scenario's duplicated network under full telemetry and
-    write the obs layer's ``repro.run-report/1`` artifact.
+    write the obs layer's ``repro.run-report`` artifact.
 
     Minimal reproducers ship with one of these so a failure can be read
     (channel fills vs capacity, divergence headroom, detection latency

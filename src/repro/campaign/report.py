@@ -1,7 +1,7 @@
 """Campaign report artifacts (``repro.campaign-report/1``).
 
 One plain-data document per campaign, in the same style as the obs
-layer's ``repro.run-report/1``: an in-repo schema
+layer's ``repro.run-report``: an in-repo schema
 (:data:`CAMPAIGN_REPORT_SCHEMA`, checked by
 :func:`validate_campaign_report` through the obs validator), a builder
 (:func:`build_campaign_report`) and a human-readable renderer

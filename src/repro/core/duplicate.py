@@ -179,7 +179,6 @@ def build_reference(
 def build_duplicated(
     blueprint: NetworkBlueprint,
     sizing: SizingResult,
-    replicator_divergence: bool = True,
     verify_duplicates: bool = False,
     strict_single_fault: bool = True,
     recorder: Optional[TraceRecorder] = None,
@@ -190,8 +189,6 @@ def build_duplicated(
 
     The replicator and selector are parameterised from ``sizing``:
     capacities from Eq. 3/4, divergence thresholds from Eq. 5.
-    ``replicator_divergence=False`` restricts the replicator to the
-    occupancy-based detection only (the paper's primary mechanism there).
     ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`) threads
     live telemetry through the engine and all framework channels.
     """
@@ -206,9 +203,7 @@ def build_duplicated(
     replicator = ReplicatorChannel(
         "replicator",
         capacities=sizing.replicator_capacities,
-        divergence_threshold=(
-            sizing.replicator_threshold if replicator_divergence else None
-        ),
+        divergence_threshold=sizing.replicator_threshold,
         transfer_latency=blueprint.transfer_latency,
         traces=(
             recorder.channel("replicator.R1"),

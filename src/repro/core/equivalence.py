@@ -25,12 +25,13 @@ from typing import Any, List, Sequence
 import numpy as np
 
 
-def _payload_equal(a: Any, b: Any) -> bool:
+def payload_equal(a: Any, b: Any) -> bool:
+    """Payload equality that tolerates numpy arrays and nested tuples."""
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         return bool(np.array_equal(a, b))
     if isinstance(a, (tuple, list)) and isinstance(b, (tuple, list)):
         return len(a) == len(b) and all(
-            _payload_equal(x, y) for x, y in zip(a, b)
+            payload_equal(x, y) for x, y in zip(a, b)
         )
     return bool(a == b)
 
@@ -57,7 +58,7 @@ def common_prefix_length(a: Sequence[Any], b: Sequence[Any]) -> int:
     """Length of the longest common prefix of two payload sequences."""
     length = 0
     for x, y in zip(a, b):
-        if not _payload_equal(x, y):
+        if not payload_equal(x, y):
             break
         length += 1
     return length

@@ -23,18 +23,13 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
+from repro.core.equivalence import payload_equal
 from repro.kpn.channel import ReadEndpoint, WriteEndpoint
 from repro.kpn.errors import ProtocolError
 from repro.kpn.operations import Delay, Read, Write
 from repro.kpn.process import Process
 from repro.kpn.simulator import Simulator
 from repro.kpn.tokens import Token
-
-
-def _results_equal(a: Any, b: Any) -> bool:
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return bool(np.array_equal(a, b))
-    return bool(a == b)
 
 
 class LockstepProcess(Process):
@@ -96,7 +91,7 @@ class LockstepProcess(Process):
             checker = self._checker_result(token.value)
             if self.compare_ms > 0:
                 yield Delay(self.compare_ms)
-            if not _results_equal(master, checker):
+            if not payload_equal(master, checker):
                 # Fail silent: emit nothing, consume nothing, forever.
                 self.silenced = True
                 self.silenced_at = self.now

@@ -41,29 +41,17 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.core.detection import (
     MECHANISM_DIVERGENCE,
     MECHANISM_STALL,
     MECHANISM_VALUE,
     DetectionLog,
 )
+from repro.core.equivalence import payload_equal
 from repro.kpn.errors import ProtocolError, SimulationError
 from repro.kpn.channel import ReadEndpoint, WriteEndpoint
 from repro.kpn.tokens import Token
 from repro.kpn.trace import ChannelTrace
-
-
-def _values_equal(a: Any, b: Any) -> bool:
-    """Payload equality that tolerates numpy arrays and nested tuples."""
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return bool(np.array_equal(a, b))
-    if isinstance(a, (tuple, list)) and isinstance(b, (tuple, list)):
-        return len(a) == len(b) and all(
-            _values_equal(x, y) for x, y in zip(a, b)
-        )
-    return bool(a == b)
 
 
 class SelectorChannel:
@@ -369,7 +357,7 @@ class SelectorChannel:
         early_value = self._pending_values.pop(seqno, None)
         if early_value is None:
             return
-        if not _values_equal(early_value, late_value):
+        if not payload_equal(early_value, late_value):
             self.log.record(
                 now,
                 "selector",

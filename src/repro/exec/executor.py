@@ -35,7 +35,7 @@ per finished task with a **monotone** completed count), and/or a
 submission and completion is appended to the run ledger as it happens,
 and each result's metrics snapshot is folded into the executor's
 fleet-wide ``metrics`` registry, so campaign-scale percentiles and
-zero-copy totals exist without shipping raw series.
+counter totals exist without shipping raw series.
 
 Because every run is a pure function of its spec (seeded RNG only — see
 ``tests/experiments/test_runner.py::TestSeedPurity``), parallel, serial,

@@ -135,9 +135,7 @@ class TaskResult:
         return None
 
 
-def snapshot_for_result(
-    result: TaskResult, copies: Optional[Dict[str, int]] = None
-) -> Dict[str, Any]:
+def snapshot_for_result(result: TaskResult) -> Dict[str, Any]:
     """The metrics snapshot of one task result.
 
     Built *after* the run finished (it reads the reduced result only),
@@ -145,8 +143,7 @@ def snapshot_for_result(
 
     * counters — events, tokens, stalls, detection report counts, the
       Eq. 3/5 **false-positive count** (reports with no preceding
-      injection) and the ``copy.*`` zero-copy payload accounting from
-      ``copies``, the run's ``COPY_STATS`` delta;
+      injection);
     * the ``detect.latency_ms`` **sketch** (first post-injection
       detection latency — the Eqs. 6–8 headline metric) plus the
       ``task.wall_ms`` sketch;
@@ -178,8 +175,6 @@ def snapshot_for_result(
         if result.injected_at is None or record.time < result.injected_at
     )
     count("detect.false_positives", false_positives)
-    for key, value in (copies or {}).items():
-        count(f"copy.{key}", value)
     latency = result.detection_latency()
     if latency is not None:
         observe("detect.latency_ms", latency)

@@ -45,10 +45,8 @@ MONITOR_NAME = "distance-monitor"
 def execute_task(spec: TaskSpec) -> TaskResult:
     """Execute one task spec and return its serialisable result."""
     from repro.kpn.errors import SimulationError
-    from repro.kpn.tokens import COPY_STATS
 
     start = time.perf_counter()
-    copies_before = COPY_STATS.snapshot()
     app = build_app(spec)
     sizing = spec.sizing if spec.sizing is not None else app.sizing()
     try:
@@ -62,10 +60,9 @@ def execute_task(spec: TaskSpec) -> TaskResult:
             ok=False,
             error=f"{type(error).__name__}: {error}",
         )
-    copies = COPY_STATS.delta(copies_before)
     result.wall_time_s = time.perf_counter() - start
     result.worker = {"pid": os.getpid(), "host": platform.node()}
-    result.metrics = snapshot_for_result(result, copies)
+    result.metrics = snapshot_for_result(result)
     return result
 
 

@@ -14,9 +14,8 @@ a finite experiment must end in quiescence, not congestion).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, List, Optional
 
 from repro.apps.base import StreamingApplication
 from repro.core.detection import FaultReport
@@ -33,7 +32,6 @@ from repro.core.overhead import (
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.models import FaultSpec
-from repro.kpn.process import Process
 from repro.kpn.simulator import RunStats
 from repro.kpn.trace import TraceRecorder
 from repro.rtc.sizing import SizingResult
@@ -52,10 +50,6 @@ class ReferenceRun:
     stalls: int
     max_fills: dict
     events: int
-    #: Zero-copy accounting delta (``COPY_STATS``) attributable to this
-    #: run alone — valid whether the run happened inline or in a pool
-    #: worker, because the delta is taken around the simulation.
-    copy_stats: Optional[dict] = None
 
 
 @dataclass
@@ -81,10 +75,6 @@ class DuplicatedRun:
     #: was not observed) — registry + timeline, consumed by
     #: :mod:`repro.obs.report` and :mod:`repro.obs.chrometrace`.
     obs: Optional[Any] = field(repr=False, default=None)
-    #: Zero-copy accounting delta (``COPY_STATS``) attributable to this
-    #: run alone — the same per-run delta the sweep workers ship, so
-    #: ``repro report`` shows it for pooled runs too.
-    copy_stats: Optional[dict] = None
     #: Closed-loop recovery summary (``RecoveryManager.as_dict()``) when
     #: the run armed a countermeasure; ``None`` otherwise.
     recovery: Optional[dict] = None
@@ -124,9 +114,6 @@ def run_reference(
         variant=variant,
         initial_fill=sizing.selector_priming,
     )
-    from repro.kpn.tokens import COPY_STATS
-
-    copy_before = COPY_STATS.snapshot()
     _sim, stats = reference.network.run(
         max_events=tokens * MAX_EVENTS_PER_TOKEN
     )
@@ -138,7 +125,6 @@ def run_reference(
         stalls=consumer.stalls,
         max_fills=reference.network.max_fills(),
         events=stats.events,
-        copy_stats=COPY_STATS.delta(copy_before),
     )
 
 
@@ -150,13 +136,9 @@ def run_duplicated(
     sizing: Optional[SizingResult] = None,
     record_events: bool = False,
     verify_duplicates: bool = False,
-    replicator_divergence: bool = True,
-    monitors: Sequence[Process] = (),
     monitor_factory=None,
-    overhead_model: Optional[OverheadModel] = None,
     strict_single_fault: bool = True,
     selector_stall_detection: bool = True,
-    transfer_latency: Optional[Callable] = None,
     obs=None,
     recovery=None,
 ) -> DuplicatedRun:
@@ -164,9 +146,7 @@ def run_duplicated(
 
     ``monitor_factory(dup, recorder) -> [Process]`` lets baselines attach
     polling monitors that observe channel traces (requires
-    ``record_events=True``).  ``transfer_latency`` optionally installs a
-    communication-latency model (e.g. from the SCC layer) on the
-    framework channels.  ``obs`` (a
+    ``record_events=True``).  ``obs`` (a
     :class:`~repro.obs.timeline.Observability`) threads the metrics
     registry through engine and channels, watches the detection log, and
     captures the process timeline for trace export.  ``recovery`` (a
@@ -178,24 +158,17 @@ def run_duplicated(
     blueprint = app.blueprint(
         tokens, tokens + sizing.selector_priming, seed=seed
     )
-    if transfer_latency is not None:
-        blueprint = dataclasses.replace(
-            blueprint, transfer_latency=transfer_latency
-        )
     recorder = TraceRecorder(record_events=record_events)
     metrics = obs.registry if obs is not None else None
     duplicated = build_duplicated(
         blueprint,
         sizing,
-        replicator_divergence=replicator_divergence,
         verify_duplicates=verify_duplicates,
         strict_single_fault=strict_single_fault,
         recorder=recorder,
         selector_stall_detection=selector_stall_detection,
         metrics=metrics,
     )
-    for monitor in monitors:
-        duplicated.network.add_process(monitor)
     if monitor_factory is not None:
         for monitor in monitor_factory(duplicated, recorder):
             duplicated.network.add_process(monitor)
@@ -215,13 +188,9 @@ def run_duplicated(
     if fault is not None:
         injector = FaultInjector(fault, timeline=timeline)
         injector.arm(sim, duplicated, recovery=manager)
-    from repro.kpn.tokens import COPY_STATS
-
-    copy_before = COPY_STATS.snapshot()
     stats = sim.run(max_events=tokens * MAX_EVENTS_PER_TOKEN)
-    copy_delta = COPY_STATS.delta(copy_before)
 
-    model = overhead_model or OverheadModel()
+    model = OverheadModel()
     consumer = duplicated.consumer
     tokens_through = duplicated.replicator.writes or 1
     overhead_r = replicator_overhead(
@@ -257,6 +226,5 @@ def run_duplicated(
         network=duplicated,
         stats=stats,
         obs=obs,
-        copy_stats=copy_delta,
         recovery=manager.as_dict() if manager is not None else None,
     )

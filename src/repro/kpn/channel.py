@@ -119,15 +119,10 @@ class Fifo:
             trace.preset_fill(len(initial_tokens))
         if metrics is not None and metrics.enabled:
             self._m_fill = metrics.timeseries(f"chan.{name}.fill")
-            #: Zero-copy transport proof: counts committed writes whose
-            #: payload is a ``memoryview`` (a borrowed slice of another
-            #: token's bytes — no payload bytes were moved to build it).
-            self._m_zero_copy = metrics.counter(f"chan.{name}.zero_copy")
             if initial_tokens:
                 self._m_fill.append(0.0, len(self._queue))
         else:
             self._m_fill = None
-            self._m_zero_copy = None
         self._sim = None
         self._parked_readers: Deque = deque()
         self._parked_writers: Deque = deque()
@@ -346,8 +341,6 @@ class Fifo:
                 trace.events.append(EventRecord(now, "write", token[1], 0))
         if self._m_fill is not None:
             self._m_fill.append(now, len(queue))
-            if type(token[0]) is memoryview:
-                self._m_zero_copy.inc()
         if self._parked_readers:
             self._wake(self._parked_readers)
         return _OK_WRITE

@@ -21,8 +21,9 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 #: Schema identifier embedded in every report.  v2: ``metrics`` is the
-#: registry's ``repro.metrics-snapshot/1`` wire form.
-SCHEMA_ID = "repro.run-report/2"
+#: registry's ``repro.metrics-snapshot/1`` wire form.  v3: the per-run
+#: payload-copy section is gone.
+SCHEMA_ID = "repro.run-report/3"
 
 #: The report contract, checked by :func:`validate_report`.  Leaf values
 #: are type tuples; a list entry describes each element's shape.  ``None``
@@ -72,9 +73,6 @@ REPORT_SCHEMA: Dict[str, Any] = {
         "mechanism": (str,),               # nullable: detecting mechanism
     },
     "metrics": dict,                       # MetricsRegistry.snapshot()
-    "zero_copy": dict,                     # COPY_STATS delta of this run
-                                           # (copies/copied_bytes/views),
-                                           # {} on legacy runs
 }
 
 
@@ -221,7 +219,6 @@ def build_run_report(
             registry.snapshot()
             if registry is not None and registry.enabled else {}
         ),
-        "zero_copy": getattr(run, "copy_stats", None) or {},
     }
 
 
@@ -344,14 +341,6 @@ def render_report(report: Dict[str, Any]) -> str:
             if bound is not None else
             f"  detected in {det['latency_ms']:.2f} ms at {det['site']} "
             f"({det['mechanism']})"
-        )
-    zero_copy = report.get("zero_copy") or {}
-    if zero_copy:
-        lines.append("")
-        lines.append(
-            f"Zero-copy: {zero_copy.get('views', 0)} view(s), "
-            f"{zero_copy.get('copies', 0)} payload copie(s) "
-            f"({zero_copy.get('copied_bytes', 0)} bytes materialised)"
         )
     from repro.obs.rtccache import summarize_cache_gauges
 

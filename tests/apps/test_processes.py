@@ -74,76 +74,6 @@ class TestSplitStream:
             net.run()
 
 
-class TestSplitStreamZeroCopy:
-    def _run(self, payload_bytes, fanout=4, boundaries=None, metrics=None):
-        from repro.kpn.process import FunctionProcess
-
-        net = Network("zc", metrics=metrics)
-        src = net.add_process(
-            PeriodicSource(
-                "src", PJD(10.0), 3,
-                payload=lambda i: (payload_bytes, len(payload_bytes)),
-                seed=1,
-            )
-        )
-        split = net.add_process(
-            SplitStream("split", fanout, zero_copy=True,
-                        boundaries=boundaries)
-        )
-        sinks = []
-        head = net.add_fifo("head", 4)
-        src.output = head.writer
-        split.input = head.reader
-        for k in range(fanout):
-            mid = net.add_fifo(f"mid{k}", 2)
-            split.outputs[k] = mid.writer
-            sink = net.add_process(RecordingSink(f"snk{k}"))
-            sink.input = mid.reader
-            sinks.append(sink)
-        net.run()
-        return split, sinks
-
-    def test_stripes_share_source_storage(self):
-        from repro.kpn.tokens import COPY_STATS
-
-        payload = bytes(range(64))
-        COPY_STATS.reset()
-        split, sinks = self._run(payload, fanout=4)
-        assert split.processed == 3
-        for k, sink in enumerate(sinks):
-            for _, token in sink.records:
-                assert type(token.value) is memoryview
-                assert token.value.obj is payload  # zero bytes copied
-                assert token.value == payload[k * 16:(k + 1) * 16]
-                assert token.size_bytes == 16
-        # Transport was copy-free: views only, no materialisations.
-        assert COPY_STATS.copies == 0
-        assert COPY_STATS.views == 3 * 4
-
-    def test_custom_boundaries(self):
-        payload = b"aaabbc"
-        split, sinks = self._run(
-            payload, fanout=3, boundaries=lambda buf: (0, 3, 5, 6)
-        )
-        stripes = [bytes(sink.records[0][1].value) for sink in sinks]
-        assert stripes == [b"aaa", b"bb", b"c"]
-
-    def test_bad_boundary_count_rejected(self):
-        with pytest.raises(ProtocolError, match="boundaries"):
-            self._run(b"abcdef", fanout=3, boundaries=lambda buf: (0, 6))
-
-    def test_channel_zero_copy_counters(self):
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-        self._run(bytes(range(32)), fanout=4, metrics=registry)
-        counters = registry.snapshot()["counters"]
-        for k in range(4):
-            assert counters[f"chan.mid{k}.zero_copy"] == 3
-        # The head channel carries the owned source buffer, not a view.
-        assert counters["chan.head.zero_copy"] == 0
-
-
 class TestMergeFrame:
     def test_merge_preserves_sequence(self):
         net, _split, _merge, snk = build_split_merge(tokens=5)

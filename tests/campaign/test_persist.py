@@ -29,6 +29,7 @@ from repro.campaign.scenario import (
 )
 from repro.exec.taskspec import TaskSpecError
 from repro.faults.models import FAIL_STOP, FaultSpec
+from repro.obs.report import SCHEMA_ID as RUN_REPORT_SCHEMA_ID
 from repro.rtc.pjd import PJD
 
 
@@ -239,4 +240,4 @@ class TestRunReport:
         path = save_run_report(_scenario(tokens=40, warmup_tokens=10),
                                tmp_path / "report.json")
         document = json.loads(path.read_text())
-        assert document["schema"] == "repro.run-report/2"
+        assert document["schema"] == RUN_REPORT_SCHEMA_ID

@@ -75,14 +75,6 @@ class TestDuplicatedConstruction:
         assert duplicated.replicator.log is duplicated.detection_log
         assert duplicated.selector.log is duplicated.detection_log
 
-    def test_replicator_divergence_toggle(self, sizing):
-        blueprint = synthetic_blueprint(5, 5)
-        with_div = build_duplicated(blueprint, sizing)
-        without = build_duplicated(blueprint, sizing,
-                                   replicator_divergence=False)
-        assert with_div.replicator.threshold == sizing.replicator_threshold
-        assert without.replicator.threshold is None
-
     def test_priming_tokens_negative_seqnos(self, sizing):
         blueprint = synthetic_blueprint(5, 5)
         tokens = blueprint.priming_tokens(3)

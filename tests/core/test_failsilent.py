@@ -28,11 +28,11 @@ class TestCorruption:
             assert corrupted != value
 
 
-def lockstep_pipeline(inject_at=None, tokens=10):
+def lockstep_pipeline(inject_at=None, tokens=10, transform=lambda v: v * 2):
     net = Network("lockstep")
     src = net.add_process(PeriodicSource("src", PJD(10.0), tokens, seed=1))
     worker = net.add_process(
-        LockstepProcess("worker", transform=lambda v: v * 2, service=1.0)
+        LockstepProcess("worker", transform=transform, service=1.0)
     )
     snk = net.add_process(RecordingSink("snk"))
     a = net.add_fifo("a", 4)
@@ -55,6 +55,17 @@ class TestLockstepProcess:
         _, worker, snk, _ = lockstep_pipeline()
         assert not worker.silenced
         assert snk.values() == [i * 2 for i in range(10)]
+
+    def test_tuple_payload_holding_array(self):
+        # Lane results are compared element-wise, so a tuple holding an
+        # array must not hit numpy's ambiguous truth value.
+        _, worker, snk, _ = lockstep_pipeline(
+            transform=lambda v: (np.array([v, v + 1]), v)
+        )
+        assert not worker.silenced
+        values = snk.values()
+        assert [v for _, v in values] == list(range(10))
+        assert np.array_equal(values[3][0], [3, 4])
 
     def test_value_fault_silences_process(self):
         _, worker, snk, injector = lockstep_pipeline(inject_at=35.0)

@@ -139,65 +139,39 @@ class TestObservability:
         assert executor.stats.as_dict()["tasks"] == len(specs)
 
 
-class TestCopyStatsMerge:
-    """Worker-side zero-copy counters must reach the parent process."""
+class TestFleetCounterMerge:
+    """Per-task counters reach the parent's fleet metrics exactly once."""
 
-    def _counting_specs(self, app, monkeypatch, copies_per_task=1):
-        # Standard apps happen not to materialise payloads, so inject a
-        # deterministic copy into every task *after* the worker's
-        # baseline snapshot (build_app runs inside the measured span).
-        import repro.exec.worker as worker
+    MERGED = ("tasks.total", "sim.events")
 
-        real_build = worker.build_app
-
-        def counting_build(spec):
-            from repro.kpn.tokens import COPY_STATS
-
-            for _ in range(copies_per_task):
-                COPY_STATS.count_copy(64)
-            return real_build(spec)
-
-        monkeypatch.setattr(worker, "build_app", counting_build)
+    @pytest.fixture
+    def reference_specs(self, app):
         sizing = app.sizing()
         return [
             TaskSpec.reference(app, 20, seed, sizing=sizing)
             for seed in (11, 12, 13, 14)
         ]
 
-    def test_results_carry_copy_deltas(self, app, monkeypatch):
-        specs = self._counting_specs(app, monkeypatch)
-        results = run_sweep(specs, jobs=1)
-        for result in results:
-            counters = result.metrics["counters"]
-            assert counters["copy.copies"] == 1
-            assert counters["copy.copied_bytes"] == 64
-
-    def test_pool_merges_worker_counters_into_parent(
-            self, app, monkeypatch):
-        # Fleet zero-copy totals come from the merged executor metrics,
-        # and must not depend on where the tasks ran.
-        specs = self._counting_specs(app, monkeypatch)
+    def test_pool_merges_worker_counters_into_parent(self, reference_specs):
+        # Fleet totals come from the merged executor metrics, and must
+        # not depend on where the tasks ran.
         totals = {}
         for jobs in (1, 2):
             with SweepExecutor(jobs=jobs) as executor:
-                executor.run(specs)
-            totals[jobs] = {name: value for name, value
-                            in executor.metrics.counters.items()
-                            if name.startswith("copy.")}
+                results = executor.run(reference_specs)
+            counters = executor.metrics.counters
+            totals[jobs] = {name: counters[name] for name in self.MERGED}
         assert totals[1] == totals[2]
-        assert totals[2]["copy.copies"] == len(specs)
-        assert totals[2]["copy.copied_bytes"] == 64 * len(specs)
+        assert totals[2]["tasks.total"] == len(reference_specs)
+        assert totals[2]["sim.events"] == sum(r.events for r in results)
 
-    def test_inline_execution_does_not_double_count(
-            self, app, monkeypatch):
-        from repro.kpn.tokens import COPY_STATS
-
-        specs = self._counting_specs(app, monkeypatch)
-        before = COPY_STATS.snapshot()
-        run_sweep(specs, jobs=1)
-        delta = COPY_STATS.delta(before)
-        # Inline runs count in-process; a second merge would double it.
-        assert delta["copies"] == len(specs)
+    def test_inline_execution_does_not_double_count(self, reference_specs):
+        with SweepExecutor(jobs=1) as executor:
+            results = executor.run(reference_specs)
+        counters = executor.metrics.counters
+        # Inline results are merged once; a second merge would double it.
+        assert counters["tasks.total"] == len(reference_specs)
+        assert counters["sim.events"] == sum(r.events for r in results)
 
 
 class TestStreaming:

@@ -148,38 +148,3 @@ class TestRenderReport:
         text = render_report(report)
         assert "t=? ms" in text
         assert "(? events/s host)" in text
-
-
-class TestZeroCopySection:
-    def test_report_carries_run_copy_delta(self, clean_report):
-        zero_copy = clean_report["zero_copy"]
-        assert set(zero_copy) == {"copies", "copied_bytes", "views"}
-
-    def test_runner_attaches_per_run_delta(self):
-        # The delta spans this run only, not the process lifetime: a
-        # pre-existing global count must not leak into the report.
-        from repro.kpn.tokens import COPY_STATS
-
-        COPY_STATS.count_copy(1024)
-        app = SyntheticApp(seed=4)
-        run = run_duplicated(app, 30, 4, sizing=app.sizing())
-        assert run.copy_stats is not None
-        assert run.copy_stats["copied_bytes"] < 1024
-
-    def test_renderer_includes_zero_copy_line(self, clean_report):
-        import copy
-
-        report = copy.deepcopy(clean_report)
-        report["zero_copy"] = {"copies": 2, "copied_bytes": 128,
-                               "views": 7}
-        text = render_report(report)
-        assert "Zero-copy: 7 view(s), 2 payload copie(s)" in text
-        assert "128 bytes materialised" in text
-
-    def test_renderer_tolerates_legacy_report(self, clean_report):
-        import copy
-
-        report = copy.deepcopy(clean_report)
-        report.pop("zero_copy")
-        text = render_report(report)
-        assert "Zero-copy" not in text
