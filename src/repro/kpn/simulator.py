@@ -438,7 +438,11 @@ class Simulator:
         return events
 
     def step(self) -> bool:
-        """Process a single event; returns False when none are pending."""
+        """Process a single event; returns False when none are pending.
+
+        Counts the event exactly as :meth:`run` does, engine metrics
+        included.
+        """
         heap = self._heap
         runq = self._runq
         if runq and (
@@ -448,16 +452,25 @@ class Simulator:
         ):
             time, _seq, handle = runq.popleft()
             self._now = time
-            self._event_count += 1
+            self._count_step(from_runq=True)
             self._fire_wake(handle)
             return True
         if not heap:
             return False
         time, _seq, event = heapq.heappop(heap)
         self._now = time
-        self._event_count += 1
+        self._count_step(from_runq=False)
         _JUMP_TABLE[event.__class__](self, event)
         return True
+
+    def _count_step(self, from_runq: bool) -> None:
+        self._event_count += 1
+        if self._metrics is not None:
+            self._m_events.inc()
+            if from_runq:
+                self._m_runq_wakes.inc()
+            else:
+                self._m_heap_events.inc()
 
     # -- event firing ---------------------------------------------------------
 

@@ -312,6 +312,38 @@ class TestResume:
         assert sim_split.event_count == sim_whole.event_count
 
 
+def _observed_synthetic_sim():
+    """A 200-token duplicated synthetic network with engine metrics."""
+    from repro.apps import SyntheticApp
+    from repro.core.duplicate import build_duplicated
+    from repro.obs.metrics import MetricsRegistry
+
+    app = SyntheticApp(seed=1)
+    sizing = app.sizing()
+    blueprint = app.blueprint(200, 200 + sizing.selector_priming, seed=2)
+    registry = MetricsRegistry()
+    duplicated = build_duplicated(blueprint, sizing, metrics=registry)
+    return duplicated.network.instantiate(), registry
+
+
+class TestStepAccounting:
+    ENGINE_COUNTERS = ("sim.events", "sim.heap_events", "sim.runq_wakes")
+
+    def test_step_loop_counts_like_run(self):
+        sim_run, registry_run = _observed_synthetic_sim()
+        sim_run.run()
+        sim_step, registry_step = _observed_synthetic_sim()
+        while sim_step.step():
+            pass
+        counters_run = registry_run.counters
+        counters_step = registry_step.counters
+        assert sim_step.event_count == sim_run.event_count > 0
+        assert counters_run["sim.runq_wakes"] > 0
+        for name in self.ENGINE_COUNTERS:
+            assert counters_step[name] == counters_run[name], name
+        assert counters_step["sim.events"] == sim_step.event_count
+
+
 class TestInputValidation:
     def test_max_events_zero_fires_nothing(self):
         sim = Simulator()
