@@ -122,8 +122,16 @@ class DuplicatedNetwork:
     selector: SelectorChannel
     replicas: List[List[Process]]
     detection_log: DetectionLog
-    replicator_ops: OpCounter
-    selector_ops: OpCounter
+
+    @property
+    def replicator_ops(self) -> OpCounter:
+        """The replicator's primitive-operation counts (Table 2)."""
+        return OpCounter(self.replicator.ops, self.replicator.op_calls)
+
+    @property
+    def selector_ops(self) -> OpCounter:
+        """The selector's primitive-operation counts (Table 2)."""
+        return OpCounter(self.selector.ops, self.selector.op_calls)
 
     def replica_process_names(self, replica: int) -> List[str]:
         """Names of all processes belonging to replica ``replica``."""
@@ -197,8 +205,6 @@ def build_duplicated(
         f"{blueprint.name}-duplicated", recorder=recorder, metrics=metrics
     )
     log = DetectionLog()
-    replicator_ops = OpCounter()
-    selector_ops = OpCounter()
 
     replicator = ReplicatorChannel(
         "replicator",
@@ -211,7 +217,6 @@ def build_duplicated(
         ),
         detection_log=log,
         strict_single_fault=strict_single_fault,
-        op_cost=replicator_ops.add,
         metrics=metrics,
     )
     selector = SelectorChannel(
@@ -223,7 +228,6 @@ def build_duplicated(
         detection_log=log,
         strict_single_fault=strict_single_fault,
         verify_duplicates=verify_duplicates,
-        op_cost=selector_ops.add,
         priming_tokens=blueprint.priming_tokens(sizing.selector_priming),
         stall_detection=selector_stall_detection,
         metrics=metrics,
@@ -255,6 +259,4 @@ def build_duplicated(
         selector=selector,
         replicas=replicas,
         detection_log=log,
-        replicator_ops=replicator_ops,
-        selector_ops=selector_ops,
     )

@@ -65,7 +65,6 @@ class NWayReplicatorChannel:
         transfer_latency: Optional[Callable[[Token], float]] = None,
         detection_log: Optional[DetectionLog] = None,
         traces=None,
-        op_cost: Optional[Callable[[int], None]] = None,
     ) -> None:
         if len(capacities) < 2:
             raise ValueError("need at least two replicas")
@@ -78,7 +77,8 @@ class NWayReplicatorChannel:
         self._latency = transfer_latency
         self.log = detection_log if detection_log is not None else DetectionLog()
         self.traces = traces
-        self._op_cost = op_cost
+        self.ops = 0
+        self.op_calls = 0
         self._queues = [deque() for _ in range(self.n)]
         self.fault = [False] * self.n
         self.reads = [0] * self.n
@@ -109,10 +109,6 @@ class NWayReplicatorChannel:
     def healthy(self) -> List[int]:
         """Indices of replicas not (yet) flagged."""
         return [k for k in range(self.n) if not self.fault[k]]
-
-    def _charge(self, operations: int) -> None:
-        if self._op_cost is not None:
-            self._op_cost(operations)
 
     def _flag(self, replica: int, mechanism: str, now: float,
               detail: str) -> None:
@@ -146,7 +142,8 @@ class NWayReplicatorChannel:
 
     def poll_read(self, index: int, now: float):
         queue = self._queues[index]
-        self._charge(1)
+        self.ops += 1
+        self.op_calls += 1
         if not queue:
             return ("empty", None)
         ready, token = queue[0]
@@ -163,7 +160,8 @@ class NWayReplicatorChannel:
     def poll_write(self, index: int, token: Token, now: float):
         if index != 0:
             raise ProtocolError(f"{self.name}: bad write interface {index}")
-        self._charge(1 + self.n)
+        self.ops += 1 + self.n
+        self.op_calls += 1
         for k in self.healthy:
             if self.space(k) == 0:
                 self._flag(
@@ -215,7 +213,6 @@ class NWaySelectorChannel:
         detection_log: Optional[DetectionLog] = None,
         trace=None,
         priming_tokens: Tuple[Token, ...] = (),
-        op_cost: Optional[Callable[[int], None]] = None,
     ) -> None:
         if len(capacities) < 2:
             raise ValueError("need at least two replicas")
@@ -230,7 +227,8 @@ class NWaySelectorChannel:
         self._latency = transfer_latency
         self.log = detection_log if detection_log is not None else DetectionLog()
         self.trace = trace
-        self._op_cost = op_cost
+        self.ops = 0
+        self.op_calls = 0
         self.fifo_size = max(capacities)
         self._queue = deque((0.0, token) for token in priming_tokens)
         self.priming = len(priming_tokens)
@@ -264,10 +262,6 @@ class NWaySelectorChannel:
 
     def virtual_fill(self, replica: int) -> int:
         return self.capacities[replica] - self.space[replica]
-
-    def _charge(self, operations: int) -> None:
-        if self._op_cost is not None:
-            self._op_cost(operations)
 
     def _flag(self, replica: int, mechanism: str, now: float,
               detail: str) -> None:
@@ -313,7 +307,8 @@ class NWaySelectorChannel:
     def poll_read(self, index: int, now: float):
         if index != 0:
             raise ProtocolError(f"{self.name}: bad read interface {index}")
-        self._charge(1 + self.n)
+        self.ops += 1 + self.n
+        self.op_calls += 1
         if not self._queue:
             return ("empty", None)
         ready, token = self._queue[0]
@@ -335,7 +330,8 @@ class NWaySelectorChannel:
     def poll_write(self, index: int, token: Token, now: float):
         if not 0 <= index < self.n:
             raise ProtocolError(f"{self.name}: bad write interface {index}")
-        self._charge(1 + self.n)
+        self.ops += 1 + self.n
+        self.op_calls += 1
         if self.fault[index]:
             self.drops[index] += 1
             if self.trace is not None:

@@ -52,7 +52,6 @@ class RingBufferReplicator:
         transfer_latency: Optional[Callable[[Token], float]] = None,
         detection_log: Optional[DetectionLog] = None,
         strict_single_fault: bool = True,
-        op_cost: Optional[Callable[[int], None]] = None,
     ) -> None:
         if len(capacities) != 2:
             raise ValueError("replicator needs exactly two capacities")
@@ -66,7 +65,8 @@ class RingBufferReplicator:
         self._latency = transfer_latency
         self.log = detection_log if detection_log is not None else DetectionLog()
         self.strict_single_fault = strict_single_fault
-        self._op_cost = op_cost
+        self.ops = 0
+        self.op_calls = 0
         self.ring_size = max(capacities)
         self._ring: List[Optional[Tuple[float, Token]]] = (
             [None] * self.ring_size
@@ -122,10 +122,6 @@ class RingBufferReplicator:
 
     # -- detection ------------------------------------------------------------
 
-    def _charge(self, operations: int) -> None:
-        if self._op_cost is not None:
-            self._op_cost(operations)
-
     def _flag(self, replica: int, mechanism: str, now: float,
               detail: str) -> None:
         if self.fault[replica]:
@@ -161,7 +157,8 @@ class RingBufferReplicator:
     def poll_read(self, index: int, now: float):
         if index not in (0, 1):
             raise ProtocolError(f"{self.name}: bad read interface {index}")
-        self._charge(1)
+        self.ops += 1
+        self.op_calls += 1
         if self.fault[index]:
             # A condemned replica is cut off entirely: its leftover slots
             # were reclaimed when its cursor was abandoned.
@@ -180,7 +177,8 @@ class RingBufferReplicator:
     def poll_write(self, index: int, token: Token, now: float):
         if index != 0:
             raise ProtocolError(f"{self.name}: bad write interface {index}")
-        self._charge(3)
+        self.ops += 3
+        self.op_calls += 1
         for k in (0, 1):
             if not self.fault[k] and self.space(k) == 0:
                 self._flag(k, MECHANISM_OVERFLOW, now,

@@ -20,7 +20,7 @@ what run harnesses pass around (``run_duplicated(..., obs=...)``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, NamedTuple, Optional, Tuple
 
 from repro.core.detection import FaultReport
 from repro.obs.metrics import MetricsRegistry
@@ -37,8 +37,7 @@ TRANSITION_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     """One process lifecycle edge at a virtual instant."""
 
     time: float
@@ -67,7 +66,10 @@ class RunTimeline:
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.transitions: List[Transition] = []
+        #: Lifecycle edges, recorded as plain tuples and turned into
+        #: :class:`Transition` records when :attr:`transitions` is read.
+        self._edges: List[tuple] = []
+        self._typed = 0
         self.injections: List[InjectionMark] = []
         self.detections: List[FaultReport] = []
         self._latency_hist = self.registry.histogram("detect.latency_ms")
@@ -79,7 +81,16 @@ class RunTimeline:
         self, time: float, process: str, kind: str, detail: Any = None
     ) -> None:
         """Record one lifecycle edge (the simulator's transition hook)."""
-        self.transitions.append(Transition(time, process, kind, detail))
+        self._edges.append((time, process, kind, detail))
+
+    @property
+    def transitions(self) -> List[Transition]:
+        """Every lifecycle edge so far, in recording order."""
+        edges = self._edges
+        if self._typed < len(edges):
+            edges[self._typed:] = map(Transition._make, edges[self._typed:])
+            self._typed = len(edges)
+        return edges
 
     # -- fault markers ------------------------------------------------------
 

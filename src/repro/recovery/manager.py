@@ -263,7 +263,7 @@ class RecoveryManager:
             # Broken countermeasure: clear the flag, skip the re-prime.
             # writes/space of the recovered interface stay stale, which
             # the post-recovery-equivalence oracle must expose.
-            dup.selector.fault[faulty] = False
+            dup.selector.unquarantine(faulty)
             self._completed(attempt, now)
 
         # 5. Respawn a fresh generation on spare cores.

@@ -171,12 +171,15 @@ class TestDivergenceDetection:
 
 class TestAccounting:
     def test_op_cost_hook(self):
-        costs = []
-        rep = ReplicatorChannel("rep", (2, 2), op_cost=costs.append)
+        # 3 primitive updates per write poll, 1 per read poll, counted
+        # for blocked polls too.
+        rep = ReplicatorChannel("rep", (2, 2))
         rep.poll_write(0, tok(1), 0.0)
+        assert (rep.ops, rep.op_calls) == (3, 1)
         rep.poll_read(0, 0.0)
-        assert len(costs) == 2
-        assert all(c > 0 for c in costs)
+        assert (rep.ops, rep.op_calls) == (4, 2)
+        assert rep.poll_read(0, 0.0) == ("empty", None)
+        assert (rep.ops, rep.op_calls) == (5, 3)
 
     def test_traces_per_queue(self):
         traces = (ChannelTrace("r.0"), ChannelTrace("r.1"))

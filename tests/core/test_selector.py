@@ -251,11 +251,17 @@ class TestValueVerification:
 
 class TestAccounting:
     def test_op_cost_hook(self):
-        costs = []
-        sel = SelectorChannel("sel", (4, 4), op_cost=costs.append)
+        # 3 primitive updates per read or write poll, counted for
+        # dropped writes and blocked polls too.
+        sel = SelectorChannel("sel", (4, 4))
         sel.poll_write(0, tok(1), 0.0)
+        assert (sel.ops, sel.op_calls) == (3, 1)
+        sel.poll_write(1, tok(1), 0.5)
+        assert (sel.ops, sel.op_calls) == (6, 2)
         sel.poll_read(0, 1.0)
-        assert len(costs) == 2
+        assert (sel.ops, sel.op_calls) == (9, 3)
+        assert sel.poll_read(0, 1.0) == ("empty", None)
+        assert (sel.ops, sel.op_calls) == (12, 4)
 
     def test_trace_records_drops(self):
         trace = ChannelTrace("s", record_events=True)
