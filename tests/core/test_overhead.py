@@ -10,15 +10,6 @@ from repro.core.overhead import (
 )
 
 
-class TestOpCounter:
-    def test_accumulates(self):
-        counter = OpCounter()
-        counter.add(3)
-        counter.add(1)
-        assert counter.operations == 4
-        assert counter.calls == 2
-
-
 class TestOverheadModel:
     def test_runtime_conversion(self):
         model = OverheadModel(tile_frequency_hz=500e6,
@@ -35,10 +26,8 @@ class TestOverheadModel:
 class TestReports:
     def test_replicator_report_matches_paper_structure(self):
         model = OverheadModel()
-        counter = OpCounter()
         # 100 tokens, 5 primitive ops each.
-        for _ in range(100):
-            counter.add(5)
+        counter = OpCounter(operations=500, calls=100)
         report = replicator_overhead(
             model, counter, capacities=(2, 3), token_bytes=10 * 1024,
             tokens_transferred=100, app_code_bytes=300 * 1024,
@@ -54,9 +43,7 @@ class TestReports:
 
     def test_selector_report(self):
         model = OverheadModel()
-        counter = OpCounter()
-        for _ in range(50):
-            counter.add(9)
+        counter = OpCounter(operations=450, calls=50)
         report = selector_overhead(
             model, counter, capacities=(5, 6), token_bytes=76800,
             tokens_transferred=50, app_code_bytes=300 * 1024,
