@@ -15,9 +15,11 @@ import numpy as np
 from repro.kpn.channel import ReadEndpoint, WriteEndpoint
 from repro.kpn.errors import ProtocolError
 from repro.kpn.operations import Delay, Read, Write
-from repro.kpn.process import Process
+from repro.kpn.process import Process, jitter_offsets
 from repro.kpn.tokens import Token
 from repro.rtc.pjd import PJD
+
+_tuple_new = tuple.__new__
 
 
 class SplitStream(Process):
@@ -75,7 +77,8 @@ class MergeFrame(Process):
     decoders are reassembled into one frame, and the frame is released on
     the replica's production PJD model (this is where the replicas'
     design-diversity jitter lives).  Rate-degradation faults stretch the
-    pacing via ``self.slowdown``.
+    pacing via ``self.slowdown``.  Paced exactly as
+    :class:`~repro.kpn.process.PacedRelay`, jitter stream included.
     """
 
     def __init__(
@@ -102,45 +105,63 @@ class MergeFrame(Process):
     def behavior(self):
         if any(i is None for i in self.inputs) or self.output is None:
             raise ProtocolError(f"{self.name}: endpoints not connected")
-        rng = np.random.default_rng(self.seed)
-        half_jitter = self.timing.jitter / 2.0
+        timing = self.timing
+        period = timing.period
+        min_distance = timing.min_distance
+        half_jitter = timing.jitter / 2.0
+        next_offset = (
+            jitter_offsets(np.random.default_rng(self.seed),
+                           half_jitter).__next__
+            if half_jitter > 0 else None
+        )
         nominal = 0.0
         previous = -math.inf
+        sim = self._sim
+        name = self.name
+        combine = self.combine
+        out_size = self.out_size
+        service_ms = self.service_ms
+        release_append = self.release_times.append
+        read_ops = [Read(endpoint) for endpoint in self.inputs]
+        delay_op = Delay(0.0)
+        write_op = Write(self.output, None)
         while True:
             parts = []
             seqno = None
-            for endpoint in self.inputs:
-                token = yield Read(endpoint)
+            for read_op in read_ops:
+                token = yield read_op
                 if seqno is None:
-                    seqno = token.seqno
-                elif token.seqno != seqno:
+                    seqno = token[1]
+                elif token[1] != seqno:
                     raise ProtocolError(
-                        f"{self.name}: stripe sequence mismatch "
-                        f"({token.seqno} vs {seqno})"
+                        f"{name}: stripe sequence mismatch "
+                        f"({token[1]} vs {seqno})"
                     )
-                parts.append(token.value)
-            if self.service_ms > 0:
-                yield Delay(self.service_ms * self.slowdown)
-            value = self.combine(parts)
-            nominal += self.timing.period * self.slowdown
+                parts.append(token[0])
+            if service_ms > 0:
+                delay_op.duration = service_ms * self.slowdown
+                yield delay_op
+            value = combine(parts)
+            slowdown = self.slowdown
+            nominal += period * slowdown
             target = nominal
-            if half_jitter > 0:
-                target += rng.uniform(-half_jitter, half_jitter)
-            target = max(
-                target,
-                previous + self.timing.min_distance * self.slowdown,
-                self.now,
-            )
-            wait = target - self.now
+            if next_offset is not None:
+                target += next_offset()
+            # ``max(target, floor, now)``, keeping the first of equals.
+            floor = previous + min_distance * slowdown
+            if floor > target:
+                target = floor
+            now = sim._now
+            if now > target:
+                target = now
+            wait = target - now
             if wait > 0:
-                yield Delay(wait)
-            previous = self.now
-            out = Token(
-                value=value,
-                seqno=seqno,
-                stamp=self.now,
-                size_bytes=self.out_size(value),
-                origin=self.name,
+                delay_op.duration = wait
+                yield delay_op
+                now = sim._now
+            previous = now
+            write_op.token = _tuple_new(
+                Token, (value, seqno, now, out_size(value), name)
             )
-            self.release_times.append(self.now)
-            yield Write(self.output, out)
+            release_append(now)
+            yield write_op

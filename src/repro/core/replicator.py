@@ -40,9 +40,9 @@ from repro.core.detection import (
 )
 from repro.kpn.errors import ProtocolError, SimulationError
 from repro.kpn.channel import ReadEndpoint, WriteEndpoint
+from repro.kpn.seriesrows import FOLD_SIZE
 from repro.kpn.tokens import Token
 from repro.kpn.trace import ChannelTrace
-from repro.obs.metrics import FOLD_SIZE
 
 
 class ReplicatorChannel:
@@ -254,8 +254,16 @@ class ReplicatorChannel:
             recovering = self._recovering
             if reads[1 - recovering] >= reads[recovering]:
                 self._recovering = None
-        if self.traces is not None:
-            self.traces[index].on_read(now, token.seqno, index)
+        traces = self.traces
+        if traces is not None:
+            # Inlined ChannelTrace.on_read (as in Fifo); the method still
+            # records events and raises on an undeclared read.
+            trace = traces[index]
+            if trace.record_events or trace.fill <= 0:
+                trace.on_read(now, token[1], index)
+            else:
+                trace.fill -= 1
+                trace.reads += 1
         divergence = abs(reads[0] - reads[1])
         rows = self._rows
         if rows is not None:
@@ -301,11 +309,28 @@ class ReplicatorChannel:
         if write_1:
             queue_1.append(entry)
             if traces is not None:
-                traces[0].on_write(now, token.seqno, 0)
+                # Inlined ChannelTrace.on_write (see poll_read).
+                trace = traces[0]
+                if trace.record_events:
+                    trace.on_write(now, token[1], 0)
+                else:
+                    fill = trace.fill + 1
+                    trace.fill = fill
+                    trace.writes += 1
+                    if fill > trace.max_fill:
+                        trace.max_fill = fill
         if write_2:
             queue_2.append(entry)
             if traces is not None:
-                traces[1].on_write(now, token.seqno, 1)
+                trace = traces[1]
+                if trace.record_events:
+                    trace.on_write(now, token[1], 1)
+                else:
+                    fill = trace.fill + 1
+                    trace.fill = fill
+                    trace.writes += 1
+                    if fill > trace.max_fill:
+                        trace.max_fill = fill
         self.writes += 1
         rows = self._rows
         if rows is not None:

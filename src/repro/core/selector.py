@@ -50,9 +50,9 @@ from repro.core.detection import (
 from repro.core.equivalence import payload_equal
 from repro.kpn.errors import ProtocolError, SimulationError
 from repro.kpn.channel import ReadEndpoint, WriteEndpoint
+from repro.kpn.seriesrows import FOLD_SIZE
 from repro.kpn.tokens import Token
 from repro.kpn.trace import ChannelTrace
-from repro.obs.metrics import FOLD_SIZE
 
 
 class SelectorChannel:
@@ -204,7 +204,8 @@ class SelectorChannel:
     # -- detection helpers ------------------------------------------------
 
     def _sample(self, now: float) -> None:
-        """Record fill, spaces, divergence and headroom."""
+        """Record fill, spaces, divergence and headroom (inlined in the
+        poll methods; recovery completion samples through here)."""
         rows = self._rows
         space = self.space
         writes = self.writes
@@ -397,18 +398,35 @@ class SelectorChannel:
             space[0] += 1
         if not fault[1]:
             space[1] += 1
-        if self.trace is not None:
-            self.trace.on_read(now, token.seqno)
-        if self._rows is not None:
-            self._sample(now)
+        trace = self.trace
+        if trace is not None:
+            # Inlined ChannelTrace.on_read (as in Fifo); the method still
+            # records events and raises on an undeclared read.
+            if trace.record_events or trace.fill <= 0:
+                trace.on_read(now, token[1])
+            else:
+                trace.fill -= 1
+                trace.reads += 1
+        writes = self.writes
+        gap = abs(writes[0] - writes[1])
+        threshold = self.threshold
+        rows = self._rows
+        if rows is not None:
+            # Inlined _sample.
+            if threshold is None:
+                rows.extend((now, self.fill, space[0], space[1], gap))
+            else:
+                rows.extend((now, self.fill, space[0], space[1], gap,
+                             threshold - gap))
+            if len(rows) >= FOLD_SIZE:
+                rows.fold()
         if self.stall_detection and (
             (not fault[0] and space[0] > self.capacities[0])
             or (not fault[1] and space[1] > self.capacities[1])
         ):
             self._check_stall(now)
-        threshold = self.threshold
         if (threshold is not None and not self._faulted
-                and abs(self.writes[0] - self.writes[1]) > threshold):
+                and gap > threshold):
             self._check_divergence(now)
         parked_1, parked_2 = self._parked_writers
         if parked_1:
@@ -426,8 +444,13 @@ class SelectorChannel:
         if fault[index]:
             # Isolation after detection: accept and discard, never block.
             self.drops[index] += 1
-            if self.trace is not None:
-                self.trace.on_drop(now, token.seqno, index)
+            trace = self.trace
+            if trace is not None:
+                # Inlined ChannelTrace.on_drop.
+                if trace.record_events:
+                    trace.on_drop(now, token[1], index)
+                else:
+                    trace.drops += 1
             if self._recovering == index:
                 # The respawned generation raced ahead of the healthy
                 # backlog; its copy of this token is gone, so the
@@ -451,7 +474,9 @@ class SelectorChannel:
             >= capacities[other] - space[other]
         )
         space[index] -= 1
-        self.writes[index] += 1
+        writes = self.writes
+        writes[index] += 1
+        trace = self.trace
         if enqueue:
             if self.fill >= self.fifo_size:
                 raise SimulationError(
@@ -461,25 +486,46 @@ class SelectorChannel:
             delay = self._latency(token) if self._latency is not None else 0.0
             self._queue.append((now + delay, token))
             self.fill += 1
-            if self.trace is not None:
-                self.trace.on_write(now, token.seqno, index)
+            if trace is not None:
+                # Inlined ChannelTrace.on_write.
+                if trace.record_events:
+                    trace.on_write(now, token[1], index)
+                else:
+                    fill = trace.fill + 1
+                    trace.fill = fill
+                    trace.writes += 1
+                    if fill > trace.max_fill:
+                        trace.max_fill = fill
             if self.verify_duplicates and not self._faulted:
-                self._pending_values[token.seqno] = token.value
+                self._pending_values[token[1]] = token[0]
             if self._parked_reader:
                 self._wake(self._parked_reader)
         else:
             self.drops[index] += 1
-            if self.trace is not None:
-                self.trace.on_drop(now, token.seqno, index)
+            if trace is not None:
+                if trace.record_events:
+                    trace.on_drop(now, token[1], index)
+                else:
+                    trace.drops += 1
             if self.verify_duplicates:
-                self._verify_pair(token.seqno, token.value, now, index)
+                self._verify_pair(token[1], token[0], now, index)
         if self._recovering is not None and index != self._recovering:
             self._maybe_complete_recovery(now)
-        if self._rows is not None:
-            self._sample(now)
+        gap = abs(writes[0] - writes[1])
         threshold = self.threshold
+        rows = self._rows
+        if rows is not None:
+            # Inlined _sample (after a completed recovery re-primed the
+            # counters).
+            if threshold is None:
+                rows.extend((now, self.fill, space[0], space[1], gap))
+            else:
+                rows.extend((now, self.fill, space[0], space[1], gap,
+                             threshold - gap))
+            if len(rows) >= FOLD_SIZE:
+                rows.fold()
         if (threshold is not None and not self._faulted
-                and abs(self.writes[0] - self.writes[1]) > threshold):
+                and gap > threshold):
             self._check_divergence(now)
         return ("ok", None)
 

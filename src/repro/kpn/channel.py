@@ -25,6 +25,7 @@ from collections import deque
 from typing import Callable, Deque, List, Optional, Tuple
 
 from repro.kpn.errors import ProtocolError
+from repro.kpn.seriesrows import FOLD_SIZE
 from repro.kpn.tokens import Token
 from repro.kpn.trace import ChannelTrace, EventRecord
 
@@ -83,7 +84,9 @@ class Fifo:
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`; when enabled
         the channel samples its fill level into the time series
-        ``chan.<name>.fill`` on every committed read and write.
+        ``chan.<name>.fill`` on every committed read and write, one
+        ``time, fill`` row of a :class:`~repro.kpn.seriesrows.SeriesRows`
+        buffer per sample.
     """
 
     def __init__(
@@ -117,12 +120,14 @@ class Fifo:
             self._queue = deque(initial_tokens)
         if trace is not None and initial_tokens:
             trace.preset_fill(len(initial_tokens))
-        if metrics is not None and metrics.enabled:
-            self._m_fill = metrics.timeseries(f"chan.{name}.fill")
-            if initial_tokens:
-                self._m_fill.append(0.0, len(self._queue))
-        else:
-            self._m_fill = None
+        #: Fill samples ``time, fill``, or ``None`` without an enabled
+        #: registry.
+        self._rows = (
+            metrics.series_rows(f"chan.{name}.fill")
+            if metrics is not None and metrics.enabled else None
+        )
+        if self._rows is not None and initial_tokens:
+            self._rows.extend((0.0, len(self._queue)))
         self._sim = None
         self._parked_readers: Deque = deque()
         self._parked_writers: Deque = deque()
@@ -133,21 +138,22 @@ class Fifo:
 
         The general :meth:`poll_read`/:meth:`poll_write` pay ~6 ``self``
         attribute loads per call re-fetching state that is fixed at
-        construction (queue, trace, parked deques, capacity).  For the
-        overwhelmingly common configurations — untimed FIFO, metrics
-        disabled — this binds per-instance closures over that state
-        instead; operations pre-bind ``channel.poll_read`` at
+        construction (queue, trace, fill rows, parked deques, capacity).
+        For the overwhelmingly common configuration — an untimed FIFO,
+        with or without metrics — this binds per-instance closures over
+        that state instead; operations pre-bind ``channel.poll_read`` at
         construction, so they pick the specialised version up
-        transparently.  Timed or metrics-enabled channels keep the
-        general methods (same results either way: the closures are
-        line-for-line the untimed/no-metrics branch of the originals).
+        transparently.  Timed channels keep the general methods (same
+        results either way: the closures are line-for-line the untimed
+        branch of the originals).
         """
-        if self._timed or self._m_fill is not None:
+        if self._timed:
             return
         name = self.name
         queue = self._queue
         capacity = self.capacity
         trace = self.trace
+        rows = self._rows
         parked_readers = self._parked_readers
         parked_writers = self._parked_writers
         popleft = queue.popleft
@@ -164,6 +170,10 @@ class Fifo:
                 if not queue:
                     return _EMPTY
                 token = popleft()
+                if rows is not None:
+                    rows.extend((now, len(queue)))
+                    if len(rows) >= FOLD_SIZE:
+                        rows.fold()
                 if parked_writers:
                     wake(parked_writers)
                 return ("ok", token)
@@ -176,6 +186,10 @@ class Fifo:
                 if len(queue) >= capacity:
                     return _FULL
                 push(token)
+                if rows is not None:
+                    rows.extend((now, len(queue)))
+                    if len(rows) >= FOLD_SIZE:
+                        rows.fold()
                 if parked_readers:
                     wake(parked_readers)
                 return _OK_WRITE
@@ -199,6 +213,10 @@ class Fifo:
                     trace.events.append(
                         EventRecord(now, "read", token[1], 0)
                     )
+                if rows is not None:
+                    rows.extend((now, len(queue)))
+                    if len(rows) >= FOLD_SIZE:
+                        rows.fold()
                 if parked_writers:
                     wake(parked_writers)
                 return ("ok", token)
@@ -221,6 +239,10 @@ class Fifo:
                     trace.events.append(
                         EventRecord(now, "write", token[1], 0)
                     )
+                if rows is not None:
+                    rows.extend((now, len(queue)))
+                    if len(rows) >= FOLD_SIZE:
+                        rows.fold()
                 if parked_readers:
                     wake(parked_readers)
                 return _OK_WRITE
@@ -313,8 +335,11 @@ class Fifo:
             trace.reads += 1
             if trace.record_events:
                 trace.events.append(EventRecord(now, "read", token[1], 0))
-        if self._m_fill is not None:
-            self._m_fill.append(now, len(queue))
+        rows = self._rows
+        if rows is not None:
+            rows.extend((now, len(queue)))
+            if len(rows) >= FOLD_SIZE:
+                rows.fold()
         if self._parked_writers:
             self._wake(self._parked_writers)
         return ("ok", token)
@@ -339,8 +364,11 @@ class Fifo:
                 trace.max_fill = fill
             if trace.record_events:
                 trace.events.append(EventRecord(now, "write", token[1], 0))
-        if self._m_fill is not None:
-            self._m_fill.append(now, len(queue))
+        rows = self._rows
+        if rows is not None:
+            rows.extend((now, len(queue)))
+            if len(rows) >= FOLD_SIZE:
+                rows.fold()
         if self._parked_readers:
             self._wake(self._parked_readers)
         return _OK_WRITE

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -128,6 +128,28 @@ def cached_pjd_schedule(
     else:
         cache.move_to_end(key)
     return times
+
+
+#: Jitter offsets a pacer draws from its generator at once.
+JITTER_BLOCK = 256
+
+
+def jitter_offsets(rng: np.random.Generator,
+                   half_jitter: float) -> Iterator[float]:
+    """Endless uniform offsets in ``[-half_jitter, +half_jitter]``.
+
+    The offsets are drawn :data:`JITTER_BLOCK` at a time and handed out
+    one by one as Python floats.  One vectorised ``uniform(size=n)`` draw
+    is bit-identical to ``n`` scalar ``uniform`` draws from the same
+    generator state (as :func:`pjd_schedule` relies on), so a pacer that
+    owns ``rng`` — seeds it, and never draws from it elsewhere — sees the
+    exact sequence of per-token scalar draws, at a fraction of the cost
+    of one numpy call per token.  The values drawn past the last token
+    are never used, so over-drawing changes nothing.
+    """
+    while True:
+        yield from rng.uniform(-half_jitter, half_jitter,
+                               size=JITTER_BLOCK).tolist()
 
 
 class Process:
@@ -399,7 +421,9 @@ class PacedRelay(Process):
     magnitudes).
 
     Rate-degradation faults stretch the pacing: the nominal increment and
-    the minimum distance are multiplied by ``self.slowdown``.
+    the minimum distance are multiplied by ``self.slowdown``.  The jitter
+    comes from :func:`jitter_offsets` over a generator seeded fresh in
+    :meth:`behavior` (a respawned relay restarts the stream).
     """
 
     def __init__(
@@ -424,8 +448,15 @@ class PacedRelay(Process):
     def behavior(self):
         if self.input is None or self.output is None:
             raise ProtocolError(f"{self.name}: endpoints not connected")
-        rng = np.random.default_rng(self.seed)
-        half_jitter = self.timing.jitter / 2.0
+        timing = self.timing
+        period = timing.period
+        min_distance = timing.min_distance
+        half_jitter = timing.jitter / 2.0
+        next_offset = (
+            jitter_offsets(np.random.default_rng(self.seed),
+                           half_jitter).__next__
+            if half_jitter > 0 else None
+        )
         nominal = self.start
         previous = -math.inf
         sim = self._sim
@@ -438,20 +469,23 @@ class PacedRelay(Process):
         write_op = Write(self.output, None)
         while True:
             token = yield read_op
-            nominal += self.timing.period * self.slowdown
+            slowdown = self.slowdown
+            nominal += period * slowdown
             target = nominal
-            if half_jitter > 0:
-                target += rng.uniform(-half_jitter, half_jitter)
-            target = max(
-                target,
-                previous + self.timing.min_distance * self.slowdown,
-                sim._now,
-            )
-            wait = target - sim._now
+            if next_offset is not None:
+                target += next_offset()
+            # ``max(target, floor, now)``, keeping the first of equals.
+            floor = previous + min_distance * slowdown
+            if floor > target:
+                target = floor
+            now = sim._now
+            if now > target:
+                target = now
+            wait = target - now
             if wait > 0:
                 delay_op.duration = wait
                 yield delay_op
-            now = sim._now
+                now = sim._now
             previous = now
             value = transform(token[0]) if transform is not None else token[0]
             size = out_size(value) if out_size is not None else token[3]

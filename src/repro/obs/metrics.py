@@ -48,6 +48,11 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+# Re-exported: the row buffer lives in a leaf module of the engine layer,
+# so that the engine's own FIFOs can hold one without importing this
+# package.
+from repro.kpn.seriesrows import FOLD_SIZE, SeriesRows  # noqa: F401
+
 #: Schema tag of :meth:`MetricsRegistry.snapshot`.
 SNAPSHOT_SCHEMA = "repro.metrics-snapshot/1"
 
@@ -403,40 +408,6 @@ class TimeSeries:
 
     def __repr__(self) -> str:
         return f"TimeSeries({self.name}, n={self.count})"
-
-
-#: Values a :class:`SeriesRows` buffer holds before its channel folds it
-#: into the series (a few thousand rows): bounds the buffer at a few
-#: hundred kilobytes.
-FOLD_SIZE = 16_384
-
-
-class SeriesRows(list):
-    """Flat row buffer of a group of :class:`TimeSeries` sampled together.
-
-    A channel samples all its series at each committed operation, so it
-    records one row ``time, value_1, value_2, ...`` with a single
-    ``extend`` of this flat list instead of one :meth:`TimeSeries.append`
-    call per series.  :meth:`fold` moves the buffered rows into the
-    series in one batch, a column at a time; the registry folds before
-    every read, and the channel folds once the buffer holds
-    :data:`FOLD_SIZE` values.
-    """
-
-    __slots__ = ("series",)
-
-    def __init__(self, series: Tuple[TimeSeries, ...]) -> None:
-        super().__init__()
-        self.series = series
-
-    def fold(self) -> None:
-        if not self:
-            return
-        width = len(self.series) + 1
-        times = self[::width]
-        for column, series in enumerate(self.series, start=1):
-            series.extend(times, self[column::width])
-        self.clear()
 
 
 class _NullInstrument:

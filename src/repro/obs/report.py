@@ -18,6 +18,7 @@ human-readable summary via :func:`render_report`.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Any, Dict, List, Optional
 
 #: Schema identifier embedded in every report.  v2: ``metrics`` is the
@@ -76,6 +77,17 @@ REPORT_SCHEMA: Dict[str, Any] = {
 }
 
 
+def series_peak(series, cutoff: Optional[float] = None):
+    """Largest value of a time series, over the retained samples taken
+    strictly before ``cutoff`` when one is given (``None`` if there are
+    none).  Series times never decrease, so those samples are a prefix,
+    found by bisection."""
+    if cutoff is None:
+        return series.max
+    end = bisect_left(series.times, cutoff)
+    return max(series.values[:end]) if end else None
+
+
 def build_run_report(
     run,
     sizing,
@@ -131,15 +143,7 @@ def build_run_report(
         if registry is not None:
             series = registry.get(f"chan.{site}.divergence")
             if series is not None and series.count:
-                if cutoff is None:
-                    peak = series.max
-                else:
-                    before = [
-                        value
-                        for time, value in zip(series.times, series.values)
-                        if time < cutoff
-                    ]
-                    peak = max(before) if before else None
+                peak = series_peak(series, cutoff)
         return {
             "site": site,
             "peak": peak,

@@ -198,3 +198,55 @@ class TestWakeOrder:
         fifo.park_writer(0, handle)
         fifo.park_writer(0, handle)  # double park must not duplicate
         assert len(fifo._parked_writers) == 1
+
+
+class TestFillMetrics:
+    """``chan.<name>.fill`` sampling through a row buffer."""
+
+    def test_metrics_keep_the_specialised_closures(self):
+        from repro.obs.metrics import MetricsRegistry
+
+        plain = Fifo("f", 2, metrics=MetricsRegistry())
+        assert "poll_read" in vars(plain) and "poll_write" in vars(plain)
+        timed = Fifo("t", 2, transfer_latency=lambda token: 1.0,
+                     metrics=MetricsRegistry())
+        assert "poll_read" not in vars(timed)
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_specialised_sampling_matches_general(self, traced):
+        from repro.obs.metrics import MetricsRegistry
+
+        def samples(specialised):
+            registry = MetricsRegistry()
+            trace = ChannelTrace("f") if traced else None
+            fifo = Fifo("f", 3, trace=trace, metrics=registry,
+                        initial_tokens=(tok(0, 0),))
+            write = fifo.poll_write if specialised else (
+                lambda *args: Fifo.poll_write(fifo, *args))
+            read = fifo.poll_read if specialised else (
+                lambda *args: Fifo.poll_read(fifo, *args))
+            for i in range(1, 7):
+                write(0, tok(i, i), float(i))
+                write(0, tok(i, i), float(i) + 0.5)
+                read(0, float(i) + 0.75)
+            return registry.get("chan.f.fill").samples()
+
+        assert samples(True) == samples(False)
+        assert samples(True)[:3] == [(0.0, 1), (1.0, 2), (1.5, 3)]
+
+    def test_import_first_in_a_fresh_interpreter(self):
+        # The channel module is the engine's leaf: importing it before
+        # anything else must not run into the repro.obs/repro.core cycle.
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run(
+            [sys.executable, "-c",
+             "import repro.kpn.channel; import repro.kpn.seriesrows"],
+            env=env, check=True, capture_output=True,
+        )

@@ -15,6 +15,8 @@ from repro.obs import (
     render_report,
     validate_report,
 )
+from repro.obs.metrics import TimeSeries
+from repro.obs.report import series_peak
 
 
 @pytest.fixture(scope="module")
@@ -148,3 +150,30 @@ class TestRenderReport:
         text = render_report(report)
         assert "t=? ms" in text
         assert "(? events/s host)" in text
+
+
+class TestSeriesPeak:
+    """The pre-injection divergence peak: samples strictly before the
+    cutoff only."""
+
+    def _series(self):
+        series = TimeSeries("chan.s.divergence")
+        for time, value in [(0.0, 1), (1.0, 2), (2.0, 7), (2.0, 9),
+                            (3.0, 4), (5.0, 11)]:
+            series.append(time, value)
+        return series
+
+    def test_cutoff_on_a_sample_time_excludes_that_sample(self):
+        series = self._series()
+        assert series_peak(series, 2.0) == 2
+        assert series_peak(series, 5.0) == 9
+        assert series_peak(series, 0.0) is None
+
+    def test_matches_a_scan_of_every_sample(self):
+        series = self._series()
+        for cutoff in (-1.0, 0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 5.0, 6.0):
+            before = [value for time, value
+                      in zip(series.times, series.values) if time < cutoff]
+            assert series_peak(series, cutoff) == (
+                max(before) if before else None)
+        assert series_peak(series) == 11
