@@ -1,7 +1,9 @@
 """Smoke tests: the example scripts must stay runnable.
 
 The fast examples run end to end; the slower ones are import-checked
-(their heavy work happens in main()).
+(their heavy work happens in main()).  The examples that tell a fault
+story print deterministically, and their whole stdout is pinned against
+``tests/example_outputs/<name>.txt``.
 """
 
 import importlib.util
@@ -11,6 +13,7 @@ import sys
 import pytest
 
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
+PINNED_OUTPUTS = pathlib.Path(__file__).resolve().parent / "example_outputs"
 
 
 def load_module(name: str):
@@ -33,6 +36,15 @@ class TestExamplesRun:
         module.main()
         out = capsys.readouterr().out
         assert out.strip()
+
+    @pytest.mark.parametrize("name", [
+        "triple_modular_redundancy",
+        "multiport_pipeline",
+    ])
+    def test_output_matches_pin(self, name, capsys):
+        load_module(name).main()
+        out = capsys.readouterr().out
+        assert out == (PINNED_OUTPUTS / f"{name}.txt").read_text()
 
     def test_quickstart_reports_equivalence(self, capsys):
         load_module("quickstart").main()
