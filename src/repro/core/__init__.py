@@ -2,11 +2,13 @@
 
 * :class:`~repro.core.replicator.ReplicatorChannel` — Section 3.1 rules
   R1-R3 plus the occupancy- and divergence-based fault detection of
-  Section 3.3;
+  Section 3.3, for ``n >= 2`` replicas;
 * :class:`~repro.core.selector.SelectorChannel` — Section 3.1 rules S1-S3
-  plus stall- and divergence-based fault detection;
-* :mod:`~repro.core.duplicate` — constructing the reference and duplicated
-  process networks of Figure 1 from one application blueprint;
+  plus stall- and divergence-based fault detection, for ``n >= 2``
+  replicas;
+* :mod:`~repro.core.duplicate` — constructing the reference and
+  replicated process networks of Figure 1 from one application
+  blueprint;
 * :mod:`~repro.core.equivalence` — runtime-checkable forms of Lemma 1 and
   Theorem 2;
 * :mod:`~repro.core.overhead` — the memory/runtime overhead accounting of
@@ -31,16 +33,7 @@ from repro.core.equivalence import (
     output_values_equal,
 )
 from repro.core.overhead import OverheadModel, OverheadReport
-from repro.core.nway import (
-    NWayNetwork,
-    NWayReplicatorChannel,
-    NWaySelectorChannel,
-    NWaySizing,
-    build_nway,
-    size_nway_network,
-)
 from repro.core.failsilent import LockstepProcess, ValueFaultInjector
-from repro.core.ringbuffer import RingBufferReplicator
 from repro.core.multiport import (
     FaultCoordinator,
     MultiPortBlueprint,
@@ -51,7 +44,6 @@ from repro.core.multiport import (
 )
 
 __all__ = [
-    "RingBufferReplicator",
     "LockstepProcess",
     "ValueFaultInjector",
     "FaultCoordinator",
@@ -60,12 +52,6 @@ __all__ = [
     "MultiPortSizing",
     "build_multiport",
     "size_multiport_network",
-    "NWayNetwork",
-    "NWayReplicatorChannel",
-    "NWaySelectorChannel",
-    "NWaySizing",
-    "build_nway",
-    "size_nway_network",
     "DetectionLog",
     "FaultReport",
     "ReplicatorChannel",

@@ -8,11 +8,12 @@ module assembles either topology from it:
   un-replicated network at the top of Figure 1);
 * :func:`build_duplicated` — ``P -> replicator -> {R_1, R_2} -> selector
   -> C`` (the bottom of Figure 1), parameterised by a
-  :class:`~repro.rtc.sizing.SizingResult`.
+  :class:`~repro.rtc.sizing.SizingResult`; a sizing for ``n`` replicas
+  builds ``R_1 .. R_n``, tolerating ``n - 1`` timing faults.
 
 Design diversity between replicas (Section 2: "sufficient design diversity
 in order to prevent common-mode faults") is expressed by the ``variant``
-index passed to the critical-subnetwork builder: variant 0 and variant 1
+index passed to the critical-subnetwork builder: variants ``0 .. n-1``
 may use different internal timing (the paper captures the diversity as
 different jitter values, Table 1).
 """
@@ -55,7 +56,7 @@ class NetworkBlueprint:
     make_critical:
         ``f(net, prefix, variant, input_ep, output_ep) -> [Process]``
         adding one copy of the critical subnetwork.  ``variant`` selects
-        the design-diversity variant (0 or 1).
+        the design-diversity variant (``0 .. n-1``).
     make_consumer:
         ``f(net) -> Process`` adding the consumer; its ``input`` endpoint
         is wired by the builders.
@@ -113,7 +114,7 @@ class ReferenceNetwork:
 
 @dataclass
 class DuplicatedNetwork:
-    """The assembled duplicated network and its interesting handles."""
+    """The assembled replicated network and its interesting handles."""
 
     network: Network
     producer: Process
@@ -196,7 +197,9 @@ def build_duplicated(
     """Assemble the duplicated network of Figure 1 (bottom).
 
     The replicator and selector are parameterised from ``sizing``:
-    capacities from Eq. 3/4, divergence thresholds from Eq. 5.
+    capacities from Eq. 3/4, divergence thresholds from Eq. 5.  One
+    replica is built per sizing entry; ``blueprint.make_critical`` is
+    called with variant indices ``0 .. n-1``.
     ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`) threads
     live telemetry through the engine and all framework channels.
     """
@@ -205,15 +208,15 @@ def build_duplicated(
         f"{blueprint.name}-duplicated", recorder=recorder, metrics=metrics
     )
     log = DetectionLog()
+    n = len(sizing.replicator_capacities)
 
     replicator = ReplicatorChannel(
         "replicator",
         capacities=sizing.replicator_capacities,
         divergence_threshold=sizing.replicator_threshold,
         transfer_latency=blueprint.transfer_latency,
-        traces=(
-            recorder.channel("replicator.R1"),
-            recorder.channel("replicator.R2"),
+        traces=tuple(
+            recorder.channel(f"replicator.R{k + 1}") for k in range(n)
         ),
         detection_log=log,
         strict_single_fault=strict_single_fault,
@@ -241,7 +244,7 @@ def build_duplicated(
     consumer.input = selector.reader
 
     replicas: List[List[Process]] = []
-    for replica_index in (0, 1):
+    for replica_index in range(n):
         processes = blueprint.make_critical(
             net,
             f"R{replica_index + 1}",

@@ -1,21 +1,22 @@
 """The selector channel (Section 3.1, rules S1-S3; detection: Section 3.3).
 
-Two writing interfaces (one per replica), one reading interface (the
-consumer ``C``).  A *single* physical FIFO of size ``|S| = max(|S_1|,
-|S_2|)`` plus two virtual ``space`` counters:
+``n >= 2`` writing interfaces (one per replica; the paper presents
+``n = 2``), one reading interface (the consumer ``C``).  A *single*
+physical FIFO of size ``|S| = max_k |S_k|`` plus one virtual ``space``
+counter per interface:
 
-1. ``fill = 0``, ``space_1 = |S_1|``, ``space_2 = |S_2|`` initially;
+1. ``fill = 0``, ``space_k = |S_k|`` initially;
 2. the read interface destructively and blockingly reads the FIFO; a read
-   increments *both* space variables and decrements ``fill``;
+   increments *every* space variable and decrements ``fill``;
 3. a write on interface ``k`` blocks if ``space_k == 0``; otherwise, if
-   ``space_k <= space_other`` the token is enqueued (``fill += 1``) and
-   ``space_k -= 1``; else only ``space_k -= 1`` and the token is dropped —
-   it is the late member of a duplicate pair whose early member interface
-   ``other`` already queued.
+   ``space_k <= space_i`` for every other interface ``i`` the token is
+   enqueued (``fill += 1``) and ``space_k -= 1``; else only
+   ``space_k -= 1`` and the token is dropped — it is a late member of an
+   n-plicate group whose first member another interface already queued.
 
 Because ``space_k`` is only ever decremented by interface ``k``'s own
 writes (and incremented by consumer reads), back-pressure on one replica is
-never caused by the other — Lemma 1 (isolation), checked by the property
+never caused by another — Lemma 1 (isolation), checked by the property
 tests.
 
 Fault detection (Section 3.3), both purely counter-based:
@@ -23,23 +24,25 @@ Fault detection (Section 3.3), both purely counter-based:
 * **stall**: after a read, ``space_k > |S_k|`` means the consumer has read
   more tokens than replica ``k`` ever wrote — ``k`` would have stalled the
   consumer and is faulty;
-* **divergence**: ``|space_1 - space_2| > D`` (with ``D`` from Eq. 5)
-  means the replicas' cumulative outputs diverged beyond the fault-free
-  bound — the one with *larger* space (fewer writes) is faulty.
+* **divergence**: a healthy interface whose cumulative output lags the
+  healthy front by more than ``D`` (from Eq. 5) is faulty — for ``n = 2``
+  the paper's ``|space_1 - space_2| > D``, flagging the one with *larger*
+  space (fewer writes).
 
 After replica ``k`` is flagged, its writes are accepted and discarded
 (never blocking the limping replica) and its counters freeze; the healthy
-interface continues with plain single-queue semantics.
+interfaces continue, down to plain single-queue semantics on the last
+survivor.
 
 The optional ``verify_duplicates`` mode additionally checks the paper's
-fail-silent assumption at runtime: the late member of each duplicate pair
-must carry the same payload as the early member (determinacy, Section 2).
+fail-silent assumption at runtime: the second member of each group must
+carry the same payload as the first (determinacy, Section 2).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Optional, Sequence, Tuple
 
 from repro.core.detection import (
     MECHANISM_DIVERGENCE,
@@ -63,7 +66,8 @@ class SelectorChannel:
     name:
         Channel name.
     capacities:
-        ``(|S_1|, |S_2|)`` — per-interface virtual queue bounds.
+        ``(|S_1|, ..., |S_n|)`` — per-interface virtual queue bounds;
+        ``n = len(capacities) >= 2``.
     divergence_threshold:
         Integer ``D`` from Eq. 5; ``None`` disables divergence detection
         (stall detection remains).
@@ -76,10 +80,11 @@ class SelectorChannel:
     detection_log:
         Shared log; fresh one if omitted.
     strict_single_fault:
-        Raise if both replicas get flagged (default True).
+        Raise once every replica is flagged (default True).
     verify_duplicates:
-        Compare the payloads of duplicate pairs; a mismatch violates the
-        fail-silent fault model and is logged (and raised).
+        Compare the payloads of the first two members of each group; a
+        mismatch violates the fail-silent fault model and is logged (and
+        raised).
     stall_detection:
         Enable the ``space_k > |S_k|`` mechanism (default).  Ablation
         studies disable it to isolate the divergence mechanism.
@@ -87,21 +92,27 @@ class SelectorChannel:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`; when
         enabled, every committed operation samples the physical fill
         (``chan.<name>.fill``), the virtual ``space_k`` levels
-        (``chan.<name>.space_k``), the live divergence
-        ``|writes_1 - writes_2|`` (``chan.<name>.divergence`` — the
+        (``chan.<name>.space_1 .. space_n``), the live divergence
+        ``max writes - min writes`` (``chan.<name>.divergence`` — the
         Eq. 5 quantity) and, when a threshold is configured, the
         remaining headroom ``D - divergence``
         (``chan.<name>.headroom``).
 
     The channel counts its own cost for the runtime overhead of Table 2:
-    ``ops`` primitive counter updates over ``op_calls`` operations (3 per
-    read or write poll).
+    ``ops`` primitive counter updates over ``op_calls`` operations
+    (``1 + n`` per read or write poll).
+
+    The class-level :meth:`poll_read`/:meth:`poll_write` are the paper's
+    two-replica bodies, straight-line for the engine's hot path; for
+    ``n > 2`` the constructor installs the general bodies
+    (:meth:`_poll_read_n`/:meth:`_poll_write_n`), which reduce to the same
+    rules at ``n = 2``.
     """
 
     def __init__(
         self,
         name: str,
-        capacities: Tuple[int, int],
+        capacities: Sequence[int],
         divergence_threshold: Optional[int] = None,
         transfer_latency: Optional[Callable[[Token], float]] = None,
         trace: Optional[ChannelTrace] = None,
@@ -112,15 +123,16 @@ class SelectorChannel:
         stall_detection: bool = True,
         metrics=None,
     ) -> None:
-        if len(capacities) != 2:
-            raise ValueError("selector needs exactly two virtual capacities")
+        n = len(capacities)
+        if n < 2:
+            raise ValueError("selector needs at least two virtual capacities")
         if any(c < 1 for c in capacities):
             raise ValueError("virtual capacities must be >= 1")
         if divergence_threshold is not None and divergence_threshold < 1:
             raise ValueError("divergence threshold must be >= 1")
         if len(priming_tokens) > min(capacities):
             raise ValueError(
-                "priming tokens exceed the smaller virtual capacity"
+                "priming tokens exceed the smallest virtual capacity"
             )
         self.name = name
         self.capacities = tuple(capacities)
@@ -136,34 +148,32 @@ class SelectorChannel:
         self.op_calls = 0
         self.fifo_size = max(capacities)
         # Priming tokens (Eq. 4 / the "Initial tokens" row of Table 2)
-        # pre-fill the physical FIFO and count against both virtual
-        # queues, so both virtual fills start equal and the comparison in
-        # rule 3 remains a first-of-pair test from the very first token.
+        # pre-fill the physical FIFO and count against every virtual
+        # queue, so all virtual fills start equal and the comparison in
+        # rule 3 remains a first-of-group test from the very first token.
         self._queue: Deque[Tuple[float, Token]] = deque(
             (0.0, token) for token in priming_tokens
         )
         self.priming = len(priming_tokens)
         self.fill = self.priming
-        self.space = [
-            capacities[0] - self.priming,
-            capacities[1] - self.priming,
-        ]
+        self.space = [capacity - self.priming for capacity in capacities]
         if trace is not None and self.priming:
             trace.preset_fill(self.priming)
-        self.fault = [False, False]
-        #: ``fault[0] or fault[1]``, kept in step by every flag change.
+        self.fault = [False] * n
+        #: ``any(fault)``, kept in step by every flag change.
         self._faulted = False
-        self.writes = [0, 0]
-        self.drops = [0, 0]
+        self.writes = [0] * n
+        self.drops = [0] * n
         self.reads = 0
-        #: One row ``time, fill, space_1, space_2, divergence[,
+        #: One row ``time, fill, space_1 .. space_n, divergence[,
         #: headroom]`` per committed operation, or ``None`` without an
         #: enabled registry.
         self._rows = None
         if metrics is not None and metrics.enabled:
             if self.priming:
                 metrics.timeseries(f"chan.{name}.fill").append(0.0, self.fill)
-            names = ["fill", "space_1", "space_2", "divergence"]
+            names = ["fill", *(f"space_{k + 1}" for k in range(n)),
+                     "divergence"]
             if self.threshold is not None:
                 names.append("headroom")
             self._rows = metrics.series_rows(
@@ -171,13 +181,22 @@ class SelectorChannel:
         self._pending_values: Dict[int, Any] = {}
         #: Interface under post-countermeasure handover (see
         #: :meth:`begin_recovery`); ``_handover`` is the number of solo
-        #: writes the healthy interface owes before pairing resumes.
+        #: writes the healthy interfaces owe before pairing resumes.
         self._recovering: Optional[int] = None
         self._handover = 0
         self._on_recovered: Optional[Callable[[float], None]] = None
         self._sim = None
         self._parked_reader: Deque = deque()
-        self._parked_writers: Tuple[Deque, Deque] = (deque(), deque())
+        self._parked_writers: Tuple[Deque, ...] = tuple(
+            deque() for _ in range(n))
+        if n > 2:
+            self.poll_read = self._poll_read_n  # type: ignore[method-assign]
+            self.poll_write = self._poll_write_n  # type: ignore[method-assign]
+
+    @property
+    def n(self) -> int:
+        """Number of replicas, ``len(capacities)``."""
+        return len(self.capacities)
 
     # -- wiring -------------------------------------------------------------
 
@@ -186,9 +205,8 @@ class SelectorChannel:
         self._sim = sim
 
     def writer(self, replica: int) -> WriteEndpoint:
-        """The write endpoint of replica ``replica`` (0 or 1)."""
-        if replica not in (0, 1):
-            raise ValueError("replica index must be 0 or 1")
+        """The write endpoint of replica ``replica`` (``0 .. n-1``)."""
+        self._check_replica(replica)
         return WriteEndpoint(self, replica)
 
     @property
@@ -203,17 +221,20 @@ class SelectorChannel:
 
     # -- detection helpers ------------------------------------------------
 
+    def _check_replica(self, replica: int) -> None:
+        if not 0 <= replica < self.n:
+            raise ValueError(f"replica index out of range: {replica}")
+
     def _sample(self, now: float) -> None:
         """Record fill, spaces, divergence and headroom (inlined in the
-        poll methods; recovery completion samples through here)."""
+        two-replica bodies; recovery completion samples through here)."""
         rows = self._rows
-        space = self.space
         writes = self.writes
-        gap = abs(writes[0] - writes[1])
+        gap = max(writes) - min(writes)
         if self.threshold is None:
-            rows.extend((now, self.fill, space[0], space[1], gap))
+            rows.extend((now, self.fill, *self.space, gap))
         else:
-            rows.extend((now, self.fill, space[0], space[1], gap,
+            rows.extend((now, self.fill, *self.space, gap,
                          self.threshold - gap))
         if len(rows) >= FOLD_SIZE:
             rows.fold()
@@ -227,10 +248,10 @@ class SelectorChannel:
         self._pending_values.clear()
         if self.strict_single_fault and all(self.fault):
             raise SimulationError(
-                f"{self.name}: both replicas flagged faulty — single-fault "
+                f"{self.name}: all {self.n} replicas flagged faulty — fault "
                 "assumption violated (or capacities/threshold under-sized)"
             )
-        # The healthy interface may have been parked behind a space_k == 0
+        # A healthy interface may have been parked behind a space_k == 0
         # that a future read will clear; nothing else to do here.
 
     def quarantine(self, replica: int) -> None:
@@ -253,7 +274,7 @@ class SelectorChannel:
         countermeasure the post-recovery-equivalence oracle must catch
         (``RecoverySpec(reprime=False)``)."""
         self.fault[replica] = False
-        self._faulted = self.fault[1 - replica]
+        self._faulted = any(self.fault)
 
     # -- recovery -----------------------------------------------------------
 
@@ -268,20 +289,19 @@ class SelectorChannel:
 
         ``handover`` is the producer's write count at countermeasure
         time: every token up to it must be delivered by the *healthy*
-        interface solo — the respawned generation never saw them, and
+        interfaces solo — the respawned generation never saw them, and
         the physical FIFO is order-preserving, so the recovered
-        interface may not enqueue before the healthy one has caught up.
-        The quarantined interface keeps discarding writes meanwhile;
-        each discard extends the obligation by one (that token's pair
-        member was just thrown away).  The healthy write that fulfils
-        the obligation completes recovery: ``writes`` of the recovered
-        interface snaps to the healthy count, ``space`` is re-primed
-        from the channel invariant ``space_k = |S_k| - priming -
-        writes_k + reads``, the fault flag clears, and normal S1-S3
-        pairing resumes with the very next token.
+        interface may not enqueue before the healthy front has caught
+        up.  The quarantined interface keeps discarding writes
+        meanwhile; each discard extends the obligation by one (that
+        token's group member was just thrown away).  The healthy write
+        that fulfils the obligation completes recovery: ``writes`` of
+        the recovered interface snaps to the healthy front's count,
+        ``space`` is re-primed from the channel invariant ``space_k =
+        |S_k| - priming - writes_k + reads``, the fault flag clears, and
+        normal S1-S3 grouping resumes with the very next token.
         """
-        if replica not in (0, 1):
-            raise ValueError("replica index must be 0 or 1")
+        self._check_replica(replica)
         if self._recovering is not None:
             raise SimulationError(
                 f"{self.name}: recovery already in progress on interface "
@@ -303,17 +323,21 @@ class SelectorChannel:
 
     def _maybe_complete_recovery(self, now: float) -> None:
         recovering = self._recovering
-        healthy = 1 - recovering
-        if self.writes[healthy] < self._handover:
+        writes = self.writes
+        # The healthy front; all the other interfaces when none is healthy.
+        others = [k for k in range(self.n) if k != recovering]
+        healthy = [k for k in others if not self.fault[k]] or others
+        front = max(writes[k] for k in healthy)
+        if front < self._handover:
             return
-        self.writes[recovering] = self.writes[healthy]
+        writes[recovering] = front
         self.space[recovering] = max(
             0,
             self.capacities[recovering] - self.priming
-            - self.writes[recovering] + self.reads,
+            - writes[recovering] + self.reads,
         )
         self.fault[recovering] = False
-        self._faulted = self.fault[healthy]
+        self._faulted = any(self.fault)
         self._recovering = None
         self._handover = 0
         if self._rows is not None:
@@ -325,30 +349,26 @@ class SelectorChannel:
 
     def _check_divergence(self, now: float) -> None:
         # The quantity Eq. 5 bounds is the difference in the total number
-        # of tokens received over the two interfaces.  For equal virtual
+        # of tokens received over two interfaces.  For equal virtual
         # capacities it equals the paper's |space_1 - space_2|; tracking
         # the write counters directly keeps it correct for unequal
         # capacities too (|S_1| != |S_2| would otherwise bias the space
-        # difference by the constant |S_1| - |S_2|).  Called once the gap
-        # exceeds D with no replica flagged.
-        gap = self.writes[0] - self.writes[1]
-        if gap > self.threshold:
-            self._flag(
-                1,
-                MECHANISM_DIVERGENCE,
-                now,
-                f"writes={self.writes[0]}/{self.writes[1]} D={self.threshold}",
-            )
-        elif -gap > self.threshold:
-            self._flag(
-                0,
-                MECHANISM_DIVERGENCE,
-                now,
-                f"writes={self.writes[0]}/{self.writes[1]} D={self.threshold}",
-            )
+        # difference by the constant |S_1| - |S_2|).  Flags every healthy
+        # interface lagging the healthy front by more than D; needs two
+        # healthy interfaces.  The two-replica bodies call it once the
+        # gap exceeds D with no replica flagged.
+        writes = self.writes
+        healthy = [k for k in range(self.n) if not self.fault[k]]
+        if len(healthy) < 2:
+            return
+        front = max(writes[k] for k in healthy)
+        detail = f"writes={'/'.join(map(str, writes))} D={self.threshold}"
+        for k in healthy:
+            if front - writes[k] > self.threshold:
+                self._flag(k, MECHANISM_DIVERGENCE, now, detail)
 
     def _check_stall(self, now: float) -> None:
-        for k in (0, 1):
+        for k in range(self.n):
             if not self.fault[k] and self.space[k] > self.capacities[k]:
                 self._flag(
                     k,
@@ -526,6 +546,97 @@ class SelectorChannel:
                 rows.fold()
         if (threshold is not None and not self._faulted
                 and gap > threshold):
+            self._check_divergence(now)
+        return ("ok", None)
+
+    def _poll_read_n(self, index: int, now: float):
+        """:meth:`poll_read` for any ``n`` (installed for ``n > 2``)."""
+        if index != 0:
+            raise ProtocolError(f"{self.name}: bad read interface {index}")
+        self.ops += 1 + self.n  # fill decrement + n space increments
+        self.op_calls += 1
+        queue = self._queue
+        if not queue:
+            return ("empty", None)
+        ready, token = queue[0]
+        if ready > now + 1e-12:
+            return ("wait", ready)
+        queue.popleft()
+        self.fill -= 1
+        self.reads += 1
+        fault = self.fault
+        space = self.space
+        for k in range(self.n):
+            if not fault[k]:
+                space[k] += 1
+        if self.trace is not None:
+            self.trace.on_read(now, token[1])
+        if self._rows is not None:
+            self._sample(now)
+        if self.stall_detection:
+            self._check_stall(now)
+        if self.threshold is not None:
+            self._check_divergence(now)
+        for parked in self._parked_writers:
+            if parked:
+                self._wake(parked)
+        return ("ok", token)
+
+    def _poll_write_n(self, index: int, token: Token, now: float):
+        """:meth:`poll_write` for any ``n`` (installed for ``n > 2``)."""
+        if not 0 <= index < self.n:
+            raise ProtocolError(f"{self.name}: bad write interface {index}")
+        self.ops += 1 + self.n  # n space compares + fill update
+        self.op_calls += 1
+        fault = self.fault
+        trace = self.trace
+        if fault[index]:
+            # Isolation after detection: accept and discard, never block.
+            self.drops[index] += 1
+            if trace is not None:
+                trace.on_drop(now, token[1], index)
+            if self._recovering == index:
+                self._handover += 1
+            return ("ok", None)
+        space = self.space
+        if space[index] == 0:
+            return ("full", None)
+        capacities = self.capacities
+        # First of its group: a virtual fill at least that of every other
+        # healthy interface (the two-replica rule of poll_write).
+        own_fill = capacities[index] - space[index]
+        enqueue = all(
+            fault[k] or own_fill >= capacities[k] - space[k]
+            for k in range(self.n) if k != index
+        )
+        space[index] -= 1
+        self.writes[index] += 1
+        if enqueue:
+            if self.fill >= self.fifo_size:
+                raise SimulationError(
+                    f"{self.name}: physical FIFO overflow (fill={self.fill},"
+                    f" |S|={self.fifo_size}) — sizing violated"
+                )
+            delay = self._latency(token) if self._latency is not None else 0.0
+            self._queue.append((now + delay, token))
+            self.fill += 1
+            if trace is not None:
+                trace.on_write(now, token[1], index)
+            if self.verify_duplicates and not self._faulted:
+                self._pending_values[token[1]] = token[0]
+            if self._parked_reader:
+                self._wake(self._parked_reader)
+        else:
+            self.drops[index] += 1
+            if trace is not None:
+                trace.on_drop(now, token[1], index)
+            if self.verify_duplicates:
+                self._verify_pair(token[1], token[0], now, index)
+        if self._recovering is not None and index != self._recovering:
+            self._maybe_complete_recovery(now)
+        if self._rows is not None:
+            self._sample(now)
+        if self.threshold is not None:
             self._check_divergence(now)
         return ("ok", None)
 

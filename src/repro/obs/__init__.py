@@ -45,11 +45,7 @@ from repro.obs.report import (
     render_report,
     validate_report,
 )
-from repro.obs.rtccache import (
-    record_rtc_cache_gauges,
-    rtc_cache_stats,
-    summarize_cache_gauges,
-)
+from repro.obs.rtccache import rtc_cache_stats
 from repro.obs.ledger import (
     LEDGER_SCHEMA,
     LedgerReplay,
@@ -84,9 +80,7 @@ __all__ = [
     "build_run_report",
     "render_report",
     "validate_report",
-    "record_rtc_cache_gauges",
     "rtc_cache_stats",
-    "summarize_cache_gauges",
     "SNAPSHOT_SCHEMA",
     "LEDGER_SCHEMA",
     "LedgerReplay",

@@ -193,13 +193,6 @@ def build_run_report(
             "time_ms": fault.time,
         }
 
-    # Publish the RTC memo-effectiveness gauges so the metrics snapshot
-    # answers whether the sizing behind this run reused solver work.
-    if registry is not None and registry.enabled:
-        from repro.obs.rtccache import record_rtc_cache_gauges
-
-        record_rtc_cache_gauges(registry)
-
     return {
         "schema": SCHEMA_ID,
         "meta": {
@@ -346,10 +339,4 @@ def render_report(report: Dict[str, Any]) -> str:
             f"  detected in {det['latency_ms']:.2f} ms at {det['site']} "
             f"({det['mechanism']})"
         )
-    from repro.obs.rtccache import summarize_cache_gauges
-
-    cache_line = summarize_cache_gauges(report.get("metrics", {}))
-    if cache_line is not None:
-        lines.append("")
-        lines.append(cache_line)
     return "\n".join(lines)

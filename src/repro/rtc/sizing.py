@@ -193,16 +193,17 @@ def replicator_blocking_bound(
 
 @dataclass
 class SizingResult:
-    """All design-time numbers for one duplicated process network.
+    """All design-time numbers for one replicated process network.
 
-    Attributes mirror the "Theoretical Capacity" block of Table 2:
+    Attributes mirror the "Theoretical Capacity" block of Table 2, with
+    one entry per replica ``k = 1 .. n`` (``n = 2`` in the paper):
 
     * ``replicator_capacities[k]`` — ``|R_k|`` (Eq. 3 per replica);
     * ``selector_capacities[k]`` — ``|S_k|`` (per-interface virtual queue
       bound: worst backlog plus pre-fill);
     * ``selector_initial_fill[k]`` — ``|S_k|_0`` (Eq. 4 per replica);
     * ``selector_threshold`` — ``D`` at the selector (Eq. 5 on output
-      curves);
+      curves, over all ordered replica pairs);
     * ``replicator_threshold`` — ``D`` at the replicator (Eq. 5 on input
       curves; the paper calls the computation "analogous");
     * ``selector_detection_bound`` — Eq. 8 bound at the selector (ms);
@@ -210,9 +211,9 @@ class SizingResult:
       replicator (ms).
     """
 
-    replicator_capacities: Tuple[int, int]
-    selector_capacities: Tuple[int, int]
-    selector_initial_fill: Tuple[int, int]
+    replicator_capacities: Tuple[int, ...]
+    selector_capacities: Tuple[int, ...]
+    selector_initial_fill: Tuple[int, ...]
     selector_threshold: int
     replicator_threshold: int
     selector_detection_bound: float
@@ -221,7 +222,7 @@ class SizingResult:
 
     @property
     def selector_fifo_size(self) -> int:
-        """``|S| = max(|S_1|, |S_2|)`` — rule 1 of the selector."""
+        """``|S| = max_k |S_k|`` — rule 1 of the selector."""
         return max(self.selector_capacities)
 
     @property
@@ -230,24 +231,25 @@ class SizingResult:
 
         Eq. 4 gives a per-replica requirement; a single shared FIFO must
         pre-fill the maximum so the consumer's guarantee holds even when
-        the *other* replica is the one that failed at time zero.
+        another replica is the one that failed at time zero.
         """
         return max(self.selector_initial_fill)
 
     def as_dict(self) -> Dict[str, object]:
         """Flat dictionary for table rendering."""
-        return {
-            "|R1|": self.replicator_capacities[0],
-            "|R2|": self.replicator_capacities[1],
-            "|S1|": self.selector_capacities[0],
-            "|S2|": self.selector_capacities[1],
-            "|S1|_0": self.selector_initial_fill[0],
-            "|S2|_0": self.selector_initial_fill[1],
+        row: Dict[str, object] = {}
+        for key, values in (("|R{}|", self.replicator_capacities),
+                            ("|S{}|", self.selector_capacities),
+                            ("|S{}|_0", self.selector_initial_fill)):
+            for k, value in enumerate(values):
+                row[key.format(k + 1)] = value
+        row.update({
             "D_selector": self.selector_threshold,
             "D_replicator": self.replicator_threshold,
             "selector_bound_ms": self.selector_detection_bound,
             "replicator_bound_ms": self.replicator_detection_bound,
-        }
+        })
+        return row
 
 
 def size_duplicated_network(
@@ -257,12 +259,14 @@ def size_duplicated_network(
     consumer: PJD,
     horizon: Optional[float] = None,
 ) -> SizingResult:
-    """Run the full Section 3.4 computation for a duplicated network.
+    """Run the full Section 3.4 computation for a replicated network.
 
     Parameters are the PJD interface models of Table 1: the producer's
     token production, each replica's token consumption (``replica_inputs``)
     and production (``replica_outputs``), and the consumer's token
-    consumption.  Returns the capacities, initial fills, thresholds and
+    consumption.  Any ``n >= 2`` replicas are sized (the paper's ``n = 2``
+    duplicated network; with ``n`` replicas the Eq. 8 bounds are taken
+    over the slowest healthy one).  Returns the capacities, initial fills, thresholds and
     detection-latency bounds that parameterise the replicator and selector
     channels.
 
@@ -312,8 +316,10 @@ def _size_duplicated_network_impl(
     consumer: PJD,
     horizon: Optional[float],
 ) -> SizingResult:
-    if len(replica_inputs) != 2 or len(replica_outputs) != 2:
-        raise ValueError("exactly two replicas are supported (paper setup)")
+    if len(replica_inputs) != len(replica_outputs):
+        raise ValueError("replica input/output model counts differ")
+    if len(replica_inputs) < 2:
+        raise ValueError("need at least two replicas")
     producer_upper, producer_lower = producer.curves()
     consumer_upper, _consumer_lower = consumer.curves()
 
@@ -326,7 +332,7 @@ def _size_duplicated_network_impl(
         for model in replica_outputs
     )
     # The per-interface selector bound must hold the common priming fill
-    # (the max of the per-replica Eq. 4 requirements, since either replica
+    # (the max of the per-replica Eq. 4 requirements, since any replica
     # may be the surviving one) plus the worst-case backlog of that
     # replica's output against the consumer drain.
     priming = max(initial_fills)

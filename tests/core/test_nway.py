@@ -1,20 +1,18 @@
-"""Tests for the n-replica generalisation (the paper's stated extension:
-"tolerating up to n timing faults can be easily constructed")."""
+"""Tests for n replicas (the paper's stated extension: "tolerating up to
+n timing faults can be easily constructed") — the replicator, selector,
+sizing and network build with a third (and fourth) replica."""
 
 import pytest
 
-from repro.core.nway import (
-    NWayReplicatorChannel,
-    NWaySelectorChannel,
-    build_nway,
-    size_nway_network,
-)
-from repro.core.duplicate import NetworkBlueprint
-from repro.kpn.errors import SimulationError
+from repro.core.duplicate import NetworkBlueprint, build_duplicated
+from repro.core.replicator import ReplicatorChannel
+from repro.core.selector import SelectorChannel
+from repro.kpn.errors import ProtocolError, SimulationError
 from repro.kpn.network import Network
 from repro.kpn.process import PacedRelay, PeriodicConsumer, PeriodicSource
 from repro.kpn.tokens import Token
 from repro.rtc.pjd import PJD
+from repro.rtc.sizing import size_duplicated_network
 
 PRODUCER = PJD(10.0, 1.0, 10.0)
 CONSUMER = PJD(10.0, 1.0, 10.0)
@@ -54,39 +52,44 @@ def triple_blueprint(tokens, consumer_tokens, seed=1):
 
 @pytest.fixture(scope="module")
 def sizing3():
-    return size_nway_network(PRODUCER, TRIPLE, TRIPLE, CONSUMER)
+    return size_duplicated_network(PRODUCER, TRIPLE, TRIPLE, CONSUMER)
 
 
 class TestNWaySizing:
-    def test_reduces_to_pairwise_for_two(self):
-        from repro.rtc.sizing import size_duplicated_network
+    def test_reduces_to_pairwise_for_two(self, sizing3):
         two = TRIPLE[:2]
         pairwise = size_duplicated_network(PRODUCER, two, two, CONSUMER)
-        nway = size_nway_network(PRODUCER, two, two, CONSUMER)
-        assert nway.replicator_capacities == pairwise.replicator_capacities
-        assert nway.selector_capacities == pairwise.selector_capacities
-        assert nway.selector_threshold == pairwise.selector_threshold
+        assert list(pairwise.as_dict()) == [
+            "|R1|", "|R2|", "|S1|", "|S2|", "|S1|_0", "|S2|_0",
+            "D_selector", "D_replicator", "selector_bound_ms",
+            "replicator_bound_ms",
+        ]
+        row = sizing3.as_dict()
+        assert [row[f"|R{k}|"] for k in (1, 2, 3)] == list(
+            sizing3.replicator_capacities)
+        assert [row[f"|S{k}|_0"] for k in (1, 2, 3)] == list(
+            sizing3.selector_initial_fill)
 
     def test_three_replicas(self, sizing3):
-        assert sizing3.n == 3
+        assert len(sizing3.replicator_capacities) == 3
         assert len(sizing3.selector_initial_fill) == 3
         assert sizing3.selector_detection_bound > 0
 
     def test_requires_two(self):
         with pytest.raises(ValueError):
-            size_nway_network(PRODUCER, TRIPLE[:1], TRIPLE[:1], CONSUMER)
+            size_duplicated_network(PRODUCER, TRIPLE[:1], TRIPLE[:1], CONSUMER)
 
 
 class TestNWaySelectorRules:
     def test_first_of_group_enqueued_rest_dropped(self):
-        sel = NWaySelectorChannel("sel", capacities=(5, 5, 5))
+        sel = SelectorChannel("sel", capacities=(5, 5, 5))
         for k in (1, 0, 2):
             sel.poll_write(k, tok(1), float(k))
         assert sel.fill == 1
         assert sel.drops == [1, 0, 1]  # interface 1 was first
 
     def test_straggler_catches_up_correctly(self):
-        sel = NWaySelectorChannel("sel", capacities=(8, 8, 8))
+        sel = SelectorChannel("sel", capacities=(8, 8, 8))
         # Interfaces 0 and 1 write groups 1..3; interface 2 lags.
         for seq in (1, 2, 3):
             sel.poll_write(0, tok(seq), float(seq))
@@ -107,7 +110,7 @@ class TestNWaySelectorRules:
         assert seqnos == [1, 2, 3, 4]
 
     def test_two_faults_tolerated(self):
-        sel = NWaySelectorChannel("sel", capacities=(4, 4, 4),
+        sel = SelectorChannel("sel", capacities=(4, 4, 4),
                                   divergence_threshold=2)
         # Interfaces 1 and 2 go silent; 0 keeps writing.
         for seq in range(1, 8):
@@ -122,7 +125,7 @@ class TestNWaySelectorRules:
         # measures lag *behind* the front, and the consumer can never
         # read more tokens than the front wrote.  The last healthy
         # replica is therefore safe by construction.
-        sel = NWaySelectorChannel("sel", capacities=(6, 6),
+        sel = SelectorChannel("sel", capacities=(6, 6),
                                   divergence_threshold=1)
         sel.poll_write(0, tok(1), 0.0)
         sel.poll_write(0, tok(2), 1.0)  # flags interface 1
@@ -133,7 +136,7 @@ class TestNWaySelectorRules:
         assert sel.fault == [False, True]
 
     def test_all_faulty_guard(self):
-        sel = NWaySelectorChannel("sel", capacities=(6, 6),
+        sel = SelectorChannel("sel", capacities=(6, 6),
                                   divergence_threshold=1)
         sel._flag(0, "stall", 0.0, "forced")
         with pytest.raises(SimulationError):
@@ -142,19 +145,19 @@ class TestNWaySelectorRules:
 
 class TestNWayReplicatorRules:
     def test_duplicates_to_all(self):
-        rep = NWayReplicatorChannel("rep", capacities=(3, 3, 3))
+        rep = ReplicatorChannel("rep", capacities=(3, 3, 3))
         rep.poll_write(0, tok(1), 0.0)
         assert [rep.fill(k) for k in range(3)] == [1, 1, 1]
 
     def test_two_dead_replicas_flagged_independently(self):
-        rep = NWayReplicatorChannel("rep", capacities=(2, 2, 4))
+        rep = ReplicatorChannel("rep", capacities=(2, 2, 4))
         for seq in range(1, 5):
             rep.poll_write(0, tok(seq), float(seq))
             rep.poll_read(2, float(seq) + 0.5)  # only replica 3 drains
         assert rep.fault == [True, True, False]
 
     def test_divergence_against_front(self):
-        rep = NWayReplicatorChannel("rep", capacities=(9, 9, 9),
+        rep = ReplicatorChannel("rep", capacities=(9, 9, 9),
                                     divergence_threshold=2)
         for seq in range(1, 5):
             rep.poll_write(0, tok(seq), float(seq))
@@ -168,7 +171,7 @@ class TestNWayNetwork:
         blueprint = triple_blueprint(
             60, 60 + sizing3.selector_priming
         )
-        nway = build_nway(blueprint, sizing3)
+        nway = build_duplicated(blueprint, sizing3)
         _, stats = nway.run(max_events=200_000)
         assert len(nway.detection_log) == 0
         assert nway.consumer.stalls == 0
@@ -180,7 +183,7 @@ class TestNWayNetwork:
         blueprint = triple_blueprint(
             80, 80 + sizing3.selector_priming
         )
-        nway = build_nway(blueprint, sizing3)
+        nway = build_duplicated(blueprint, sizing3)
         sim = nway.network.instantiate()
 
         def kill(replica):
@@ -200,10 +203,8 @@ class TestNWayNetwork:
         assert [t.value for t in real] == [i * 17 % 97 for i in range(80)]
 
     def test_fault_free_output_matches_duplicated(self, sizing3):
-        from repro.core.duplicate import build_duplicated
-        from repro.rtc.sizing import size_duplicated_network
         blueprint3 = triple_blueprint(30, 30 + sizing3.selector_priming)
-        nway = build_nway(blueprint3, sizing3)
+        nway = build_duplicated(blueprint3, sizing3)
         nway.run(max_events=100_000)
 
         two = TRIPLE[:2]
@@ -217,3 +218,48 @@ class TestNWayNetwork:
             t.value for t in duplicated.consumer.tokens if t.seqno > 0
         ]
         assert nway_vals == dup_vals
+
+
+@pytest.mark.parametrize("n", [2, 3])
+class TestInputChecks:
+    """Both bodies reject bad interfaces and configurations alike."""
+
+    @pytest.mark.parametrize("index", [-1, "n"])
+    def test_replicator_bad_interfaces(self, n, index):
+        rep = ReplicatorChannel("rep", capacities=(3,) * n)
+        index = n if index == "n" else index
+        with pytest.raises(ProtocolError):
+            rep.poll_read(index, 0.0)
+        with pytest.raises(ProtocolError):
+            rep.poll_write(index if index < 0 else 1, tok(1), 0.0)
+        with pytest.raises(ValueError):
+            rep.reader(index)
+        with pytest.raises(ValueError):
+            rep.reprime(index)
+        assert rep.reads == [0] * n and rep.ops == 0
+
+    @pytest.mark.parametrize("index", [-1, "n"])
+    def test_selector_bad_interfaces(self, n, index):
+        sel = SelectorChannel("sel", capacities=(3,) * n)
+        index = n if index == "n" else index
+        with pytest.raises(ProtocolError):
+            sel.poll_write(index, tok(1), 0.0)
+        with pytest.raises(ProtocolError):
+            sel.poll_read(index if index < 0 else 1, 0.0)
+        with pytest.raises(ValueError):
+            sel.writer(index)
+        with pytest.raises(ValueError):
+            sel.begin_recovery(index, 0, 0.0)
+        assert sel.writes == [0] * n and sel.ops == 0
+
+    def test_zero_divergence_threshold_rejected(self, n):
+        with pytest.raises(ValueError):
+            ReplicatorChannel("rep", (3,) * n, divergence_threshold=0)
+        with pytest.raises(ValueError):
+            SelectorChannel("sel", (3,) * n, divergence_threshold=0)
+
+    def test_single_capacity_rejected(self, n):
+        with pytest.raises(ValueError):
+            ReplicatorChannel("rep", (3,))
+        with pytest.raises(ValueError):
+            SelectorChannel("sel", (3,))

@@ -57,6 +57,15 @@ class TestRuleR3Duplication:
         assert got0 is token
         assert got1 is token
 
+    def test_same_token_object_not_copied(self):
+        replicator = ReplicatorChannel("rep", (2, 2))
+        token = tok(1)
+        replicator.poll_write(0, token, 0.0)
+        assert replicator.stored_entries == 1  # one entry, both queues
+        _, got0 = replicator.poll_read(0, 1.0)
+        _, got1 = replicator.poll_read(1, 1.0)
+        assert got0 is token and got1 is token
+
     def test_reads_are_independent(self, replicator):
         replicator.poll_write(0, tok(1), 0.0)
         replicator.poll_write(0, tok(2), 1.0)

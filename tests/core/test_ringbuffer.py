@@ -1,11 +1,23 @@
-"""Differential tests: ring-buffer replicator vs the two-queue design."""
+"""The replicator's circular-buffer storage (Section 3.1) and its two bodies.
+
+Section 3.1: "More efficient implementations utilizing circular FIFO
+buffers with two readers are possible".  :class:`ReplicatorChannel`
+stores each write's ``(ready, token)`` entry once and shares it between
+the queues, so its distinct stored entries — what a circular buffer with
+one cursor per replica holds — never exceed ``max_k |R_k|`` while every
+replica is healthy.  A condemned replica's leftovers stay queued.
+
+The fixed schedules below also check the class-level two-replica bodies
+against the general bodies (``tests/core/test_two_replica_bodies.py``
+draws random schedules).
+"""
 
 import pytest
 
 from repro.core.replicator import ReplicatorChannel
-from repro.core.ringbuffer import RingBufferReplicator
 from repro.kpn.errors import ProtocolError
 from repro.kpn.tokens import Token
+from tests.helpers import general_bodies
 
 
 def tok(seqno):
@@ -13,10 +25,11 @@ def tok(seqno):
 
 
 def both(capacities=(2, 3), **kwargs):
+    """The same replicator with its two-replica and its general bodies."""
     kwargs.setdefault("strict_single_fault", False)
     return (
-        ReplicatorChannel("two-queue", capacities, **kwargs),
-        RingBufferReplicator("ring", capacities, **kwargs),
+        ReplicatorChannel("two-replica", capacities, **kwargs),
+        general_bodies(ReplicatorChannel("general", capacities, **kwargs)),
     )
 
 
@@ -41,10 +54,6 @@ def drive(channel, steps):
     return outcomes
 
 
-# Schedules never read from a replica after its condemnation: the two
-# designs intentionally differ there (the two-queue version retains the
-# condemned replica's leftovers, the ring reclaims them) — that case has
-# its own tests below.
 DIFFERENTIAL_SCHEDULES = [
     ["w", "r0", "r1", "w", "r0", "r1"],
     ["w", "w", "r0", "w", "r0", "r0", "r1", "r1", "r1"],
@@ -57,109 +66,108 @@ DIFFERENTIAL_SCHEDULES = [
 class TestDifferentialEquivalence:
     @pytest.mark.parametrize("steps", DIFFERENTIAL_SCHEDULES)
     def test_same_observable_outcomes(self, steps):
-        two_queue, ring = both()
-        assert drive(two_queue, list(steps)) == drive(ring, list(steps))
+        two_replica, reference = both()
+        assert drive(two_replica, list(steps)) == drive(reference,
+                                                        list(steps))
 
     @pytest.mark.parametrize("steps", DIFFERENTIAL_SCHEDULES)
     def test_same_fault_verdicts(self, steps):
-        two_queue, ring = both()
-        drive(two_queue, list(steps))
-        drive(ring, list(steps))
-        assert two_queue.fault == ring.fault
-        assert len(two_queue.log) == len(ring.log)
-        for a, b in zip(two_queue.log, ring.log):
-            assert (a.replica, a.mechanism) == (b.replica, b.mechanism)
+        two_replica, reference = both()
+        drive(two_replica, list(steps))
+        drive(reference, list(steps))
+        assert two_replica.fault == reference.fault
+        assert [(r.replica, r.mechanism, r.detail) for r in two_replica.log] \
+            == [(r.replica, r.mechanism, r.detail) for r in reference.log]
 
     def test_divergence_detection_matches(self):
-        kwargs = {"divergence_threshold": 2}
-        two_queue, ring = both((10, 10), **kwargs)
+        two_replica, reference = both((10, 10), divergence_threshold=2)
         steps = ["w", "r0"] * 4
-        drive(two_queue, list(steps))
-        drive(ring, list(steps))
-        assert two_queue.fault == ring.fault == [False, True]
+        drive(two_replica, list(steps))
+        drive(reference, list(steps))
+        assert two_replica.fault == reference.fault == [False, True]
+        assert reference.log.first().detail == "reads=3/0 D=2"
 
 
 class TestRingSpecifics:
     def test_single_storage(self):
-        ring = RingBufferReplicator("ring", (2, 3))
+        rep = ReplicatorChannel("rep", (2, 3))
         for seq in (1, 2):
-            ring.poll_write(0, tok(seq), float(seq))
+            rep.poll_write(0, tok(seq), float(seq))
         # Two tokens stored once each, visible to both readers.
-        assert ring.live_slots == 2
-        assert ring.fill(0) == 2 and ring.fill(1) == 2
+        assert rep.stored_entries == 2
+        assert rep.fill(0) == 2 and rep.fill(1) == 2
 
     def test_live_slots_track_slowest_healthy_reader(self):
-        ring = RingBufferReplicator("ring", (3, 3))
+        rep = ReplicatorChannel("rep", (3, 3))
         for seq in (1, 2, 3):
-            ring.poll_write(0, tok(seq), float(seq))
-        ring.poll_read(0, 4.0)
-        ring.poll_read(0, 5.0)
-        assert ring.live_slots == 3  # reader 1 still needs all three
+            rep.poll_write(0, tok(seq), float(seq))
+        rep.poll_read(0, 4.0)
+        rep.poll_read(0, 5.0)
+        assert rep.stored_entries == 3  # reader 1 still needs all three
 
     def test_storage_bounded_by_max_capacity(self):
-        ring = RingBufferReplicator("ring", (2, 3))
-        assert ring.ring_size == 3
-        # Against the two-queue design's 5 slots for the same sizing.
+        # Fault-free, every queue holds a suffix of the written stream, so
+        # their union is the longest one — against Σ|R_k| = 5 provisioned.
+        rep = ReplicatorChannel("rep", (2, 3), divergence_threshold=3)
+        peak = 0
+        steps = ["w", "r0", "w", "w", "r1", "r0", "r1", "r1", "r0"] * 5
+        for now, step in enumerate(steps, start=1):
+            if step == "w":
+                rep.poll_write(0, tok(now), float(now))
+            else:
+                rep.poll_read(int(step[1]), float(now))
+            peak = max(peak, rep.stored_entries)
+        assert not rep.any_fault
+        assert peak == 3 == max(rep.capacities)
 
-    def test_same_token_object_not_copied(self):
-        ring = RingBufferReplicator("ring", (2, 2))
-        token = tok(1)
-        ring.poll_write(0, token, 0.0)
-        _, got0 = ring.poll_read(0, 1.0)
-        _, got1 = ring.poll_read(1, 1.0)
-        assert got0 is token and got1 is token
-
-    def test_condemned_reader_leftovers_dropped(self):
-        ring = RingBufferReplicator("ring", (1, 4))
-        ring.poll_write(0, tok(1), 0.0)
-        ring.poll_write(0, tok(2), 1.0)  # flags replica 0 (cap 1 full)
-        assert ring.fault == [True, False]
-        status, _ = ring.poll_read(0, 2.0)
-        assert status == "empty"
+    def test_condemned_reader_keeps_its_leftovers(self):
+        rep = ReplicatorChannel("rep", (1, 4))
+        rep.poll_write(0, tok(1), 0.0)
+        rep.poll_write(0, tok(2), 1.0)  # flags replica 0 (cap 1 full)
+        assert rep.fault == [True, False]
+        status, token = rep.poll_read(0, 2.0)
+        assert status == "ok" and token.seqno == 1
         # The healthy replica still gets everything.
         seqnos = []
         while True:
-            status, token = ring.poll_read(1, 3.0)
+            status, token = rep.poll_read(1, 3.0)
             if status != "ok":
                 break
             seqnos.append(token.seqno)
         assert seqnos == [1, 2]
 
     def test_transfer_latency(self):
-        ring = RingBufferReplicator("ring", (2, 2),
-                                    transfer_latency=lambda t: 5.0)
-        ring.poll_write(0, tok(1), 0.0)
-        status, ready = ring.poll_read(0, 1.0)
-        assert status == "wait" and ready == pytest.approx(5.0)
+        for rep in both((2, 2), transfer_latency=lambda t: 5.0):
+            rep.poll_write(0, tok(1), 0.0)
+            status, ready = rep.poll_read(0, 1.0)
+            assert status == "wait" and ready == pytest.approx(5.0)
 
     def test_bad_interfaces(self):
-        ring = RingBufferReplicator("ring", (2, 2))
-        with pytest.raises(ProtocolError):
-            ring.poll_read(2, 0.0)
-        with pytest.raises(ProtocolError):
-            ring.poll_write(1, tok(1), 0.0)
+        for rep in both((2, 2)):
+            with pytest.raises(ProtocolError):
+                rep.poll_read(2, 0.0)
+            with pytest.raises(ProtocolError):
+                rep.poll_write(1, tok(1), 0.0)
 
 
 class TestRingInNetwork:
     def test_drop_in_for_duplicated_network(self):
-        """The ring variant slots into a full duplicated-network run."""
+        """The general bodies slot into a full duplicated-network run and
+        deliver what the two-replica bodies deliver."""
         from tests.helpers import synthetic_blueprint, synthetic_sizing
         from repro.core.duplicate import build_duplicated
 
         sizing = synthetic_sizing()
-        blueprint = synthetic_blueprint(40, 40 + sizing.selector_priming)
-        duplicated = build_duplicated(blueprint, sizing)
-        # Swap the replicator for the ring variant before instantiation.
-        ring = RingBufferReplicator(
-            "ring-replicator",
-            sizing.replicator_capacities,
-            divergence_threshold=sizing.replicator_threshold,
-            detection_log=duplicated.detection_log,
-        )
-        duplicated.network.channels["ring-replicator"] = ring
-        duplicated.producer.output = ring.writer
-        for k, processes in enumerate(duplicated.replicas):
-            processes[0].input = ring.reader(k)
-        duplicated.run(max_events=200_000)
-        assert len(duplicated.detection_log) == 0
-        assert duplicated.consumer.stalls == 0
+        outputs = []
+        for swap in (False, True):
+            blueprint = synthetic_blueprint(40, 40 + sizing.selector_priming)
+            duplicated = build_duplicated(blueprint, sizing)
+            if swap:
+                general_bodies(duplicated.replicator)
+                general_bodies(duplicated.selector)
+            duplicated.run(max_events=200_000)
+            assert len(duplicated.detection_log) == 0
+            assert duplicated.consumer.stalls == 0
+            outputs.append([(t.seqno, t.value, t.stamp)
+                            for t in duplicated.consumer.tokens])
+        assert outputs[0] == outputs[1]

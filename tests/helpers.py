@@ -61,3 +61,12 @@ def synthetic_blueprint(tokens: int, consumer_tokens: int,
         make_critical=make_critical,
         make_consumer=make_consumer,
     )
+
+
+def general_bodies(channel):
+    """Route a replicator's or selector's polls through the general
+    bodies that ``n > 2`` channels install, the reference for the
+    two-replica class-level bodies."""
+    channel.poll_read = channel._poll_read_n
+    channel.poll_write = channel._poll_write_n
+    return channel

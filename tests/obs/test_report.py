@@ -102,6 +102,26 @@ class TestBuildRunReport:
         assert all(d["peak"] is None for d in report["divergence"])
 
 
+class TestReportDependsOnlyOnTheRun:
+    def test_identical_runs_report_identically(self):
+        # Process-lifetime state (memo hit counts of the RTC solvers) must
+        # not leak into a report: a sizing solved in between changes
+        # nothing.
+        def report_text():
+            app = SyntheticApp(seed=3)
+            sizing = app.sizing()
+            run = run_duplicated(app, 100, 3, sizing=sizing,
+                                 obs=Observability())
+            report = build_run_report(run, sizing, app.name, 100, 3)
+            report["throughput"].pop("wall_time_s")
+            report["throughput"].pop("events_per_sec")
+            return json.dumps(report, sort_keys=True)
+
+        before = report_text()
+        SyntheticApp(seed=5).sizing()
+        assert report_text() == before
+
+
 class TestValidateReport:
     def test_schema_id_checked(self, clean_report):
         bad = dict(clean_report, schema="other/9")

@@ -12,8 +12,7 @@ recovery countermeasure armed, each observed through an
   drives the series through several decimation rounds.
 
 Each run is digested (SHA-256 over canonical JSON) from four parts: the
-run report without its wall-clock fields and the process-lifetime
-``rtc.cache.*`` gauges, the retained ``times``/``values`` of every time
+run report without its wall-clock fields, the retained ``times``/``values`` of every time
 series, the Chrome trace, and the Table 2 overhead inputs and results.
 Changes to how telemetry is recorded must keep every digest, so never
 regenerate them to make a refactor pass.
@@ -110,9 +109,6 @@ def _observed_run(replica, kind, seed, decimated):
 def _digests(run, obs, report):
     report["throughput"].pop("wall_time_s")
     report["throughput"].pop("events_per_sec")
-    gauges = report["metrics"]["gauges"]
-    for name in [name for name in gauges if name.startswith("rtc.cache.")]:
-        del gauges[name]
     registry = obs.registry
     series = {}
     for name in registry.names():

@@ -1,11 +1,6 @@
-"""Tests for the RTC memo-effectiveness gauges."""
+"""Tests for the RTC memo statistics."""
 
-from repro.obs import (
-    MetricsRegistry,
-    record_rtc_cache_gauges,
-    rtc_cache_stats,
-    summarize_cache_gauges,
-)
+from repro.obs import rtc_cache_stats
 from repro.rtc.minplus import clear_curve_op_caches
 from repro.rtc.pjd import PJD
 from repro.rtc.sizing import size_duplicated_network
@@ -46,41 +41,3 @@ class TestCacheStats:
         assert after["sizing"]["hits"] > before["sizing"]["hits"]
         assert after["minplus_conv"]["misses"] >= 1
         assert after["minplus_conv"]["hits"] >= 1
-
-
-class TestGauges:
-    def test_gauges_published(self):
-        registry = MetricsRegistry()
-        _solve_once()
-        record_rtc_cache_gauges(registry)
-        gauges = registry.snapshot()["gauges"]
-        assert "rtc.cache.sizing.hits" in gauges
-        assert "rtc.cache.total.misses" in gauges
-        total = (gauges["rtc.cache.total.hits"]["max"]
-                 + gauges["rtc.cache.total.misses"]["max"])
-        per_cache = sum(
-            gauges[f"rtc.cache.{name}.{field}"]["max"]
-            for name in ("minplus_conv", "minplus_deconv", "maxplus_conv",
-                         "pjd_upper", "pjd_lower", "sizing")
-            for field in ("hits", "misses")
-        )
-        assert total == per_cache
-
-    def test_disabled_registry_is_noop(self):
-        registry = MetricsRegistry(enabled=False)
-        record_rtc_cache_gauges(registry)
-        assert registry.names() == []
-
-
-class TestSummary:
-    def test_summary_line_from_snapshot(self):
-        registry = MetricsRegistry()
-        _solve_once()
-        record_rtc_cache_gauges(registry)
-        line = summarize_cache_gauges(registry.snapshot())
-        assert line is not None
-        assert line.startswith("RTC solver memos:")
-        assert "% hit rate" in line
-
-    def test_summary_absent_without_gauges(self):
-        assert summarize_cache_gauges({}) is None

@@ -1,9 +1,10 @@
-"""Property-based tests of the n-way selector's merge invariants."""
+"""Property-based tests of the selector's merge invariants for n = 2..4
+(the two-replica body at n = 2, the general body above)."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.nway import NWaySelectorChannel
+from repro.core.selector import SelectorChannel
 from repro.kpn.tokens import Token
 
 
@@ -48,8 +49,8 @@ def _merge_only(selector):
 def test_consumer_sees_each_group_once_in_order(case):
     n, steps = case
     selector = _merge_only(
-        NWaySelectorChannel("sel", capacities=(6,) * n,
-                            divergence_threshold=None)
+        SelectorChannel("sel", capacities=(6,) * n,
+                        divergence_threshold=None)
     )
     received = drive(selector, n, steps)
     assert received == list(range(1, len(received) + 1))
@@ -60,8 +61,8 @@ def test_consumer_sees_each_group_once_in_order(case):
 def test_exactly_one_kept_per_group(case):
     n, steps = case
     selector = _merge_only(
-        NWaySelectorChannel("sel", capacities=(6,) * n,
-                            divergence_threshold=None)
+        SelectorChannel("sel", capacities=(6,) * n,
+                        divergence_threshold=None)
     )
     received = drive(selector, n, steps)
     kept = sum(selector.writes) - sum(selector.drops)
@@ -76,8 +77,8 @@ def test_space_accounting_per_interface(case):
     and the consumer's reads."""
     n, steps = case
     selector = _merge_only(
-        NWaySelectorChannel("sel", capacities=(6,) * n,
-                            divergence_threshold=None)
+        SelectorChannel("sel", capacities=(6,) * n,
+                        divergence_threshold=None)
     )
     received = drive(selector, n, steps)
     for k in range(n):
