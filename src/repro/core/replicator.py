@@ -47,7 +47,7 @@ from repro.core.detection import (
     DetectionLog,
 )
 from repro.kpn.errors import ProtocolError, SimulationError
-from repro.kpn.channel import ReadEndpoint, WriteEndpoint
+from repro.kpn.channel import ReadEndpoint, WriteEndpoint, wake_parked
 from repro.kpn.seriesrows import FOLD_SIZE
 from repro.kpn.tokens import Token
 from repro.kpn.trace import ChannelTrace
@@ -328,7 +328,7 @@ class ReplicatorChannel:
                 and not self._faulted and self._recovering is None):
             self._check_divergence(now)
         if self._parked_writers:
-            self._wake(self._parked_writers)
+            wake_parked(self._sim, self._parked_writers)
         return ("ok", token)
 
     def poll_write(self, index: int, token: Token, now: float):
@@ -391,9 +391,9 @@ class ReplicatorChannel:
                 rows.fold()
         parked_1, parked_2 = self._parked_readers
         if write_1 and parked_1:
-            self._wake(parked_1)
+            wake_parked(self._sim, parked_1)
         if write_2 and parked_2:
-            self._wake(parked_2)
+            wake_parked(self._sim, parked_2)
         return ("ok", None)
 
     def _poll_read_n(self, index: int, now: float):
@@ -419,7 +419,7 @@ class ReplicatorChannel:
         if self.threshold is not None and self._recovering is None:
             self._check_divergence(now)
         if self._parked_writers:
-            self._wake(self._parked_writers)
+            wake_parked(self._sim, self._parked_writers)
         return ("ok", token)
 
     def _poll_write_n(self, index: int, token: Token, now: float):
@@ -449,7 +449,7 @@ class ReplicatorChannel:
             self._sample(now)
         for k in targets:
             if self._parked_readers[k]:
-                self._wake(self._parked_readers[k])
+                wake_parked(self._sim, self._parked_readers[k])
         return ("ok", None)
 
     def park_reader(self, index: int, handle) -> None:
@@ -461,17 +461,6 @@ class ReplicatorChannel:
         if not handle.is_parked:
             handle.is_parked = True
             self._parked_writers.append(handle)
-
-    # -- internals ------------------------------------------------------------
-
-    def _wake(self, parked: Deque) -> None:
-        # FIFO wake order (see Fifo._wake): deterministic retry sequence.
-        sim = self._sim
-        while parked:
-            handle = parked.popleft()
-            handle.is_parked = False
-            if sim is not None:
-                sim.retry(handle)
 
     def __repr__(self) -> str:
         fills = "/".join(str(len(queue)) for queue in self._queues)

@@ -35,7 +35,7 @@ interfaces continue, down to plain single-queue semantics on the last
 survivor.
 
 The optional ``verify_duplicates`` mode additionally checks the paper's
-fail-silent assumption at runtime: the second member of each group must
+fail-silent assumption at runtime: every late member of a group must
 carry the same payload as the first (determinacy, Section 2).
 """
 
@@ -52,7 +52,7 @@ from repro.core.detection import (
 )
 from repro.core.equivalence import payload_equal
 from repro.kpn.errors import ProtocolError, SimulationError
-from repro.kpn.channel import ReadEndpoint, WriteEndpoint
+from repro.kpn.channel import ReadEndpoint, WriteEndpoint, wake_parked
 from repro.kpn.seriesrows import FOLD_SIZE
 from repro.kpn.tokens import Token
 from repro.kpn.trace import ChannelTrace
@@ -82,9 +82,9 @@ class SelectorChannel:
     strict_single_fault:
         Raise once every replica is flagged (default True).
     verify_duplicates:
-        Compare the payloads of the first two members of each group; a
-        mismatch violates the fail-silent fault model and is logged (and
-        raised).
+        Compare the payload of every late member of a group with the
+        first member's; a mismatch violates the fail-silent fault model
+        and is logged (and raised).
     stall_detection:
         Enable the ``space_k > |S_k|`` mechanism (default).  Ablation
         studies disable it to isolate the divergence mechanism.
@@ -178,7 +178,9 @@ class SelectorChannel:
                 names.append("headroom")
             self._rows = metrics.series_rows(
                 *(f"chan.{name}.{series}" for series in names))
-        self._pending_values: Dict[int, Any] = {}
+        #: ``seqno -> [first member's payload, late members still to
+        #: compare]`` for groups queued while every interface was healthy.
+        self._pending_values: Dict[int, list] = {}
         #: Interface under post-countermeasure handover (see
         #: :meth:`begin_recovery`); ``_handover`` is the number of solo
         #: writes the healthy interfaces owe before pairing resumes.
@@ -266,7 +268,7 @@ class SelectorChannel:
             self.fault[replica] = True
             self._faulted = True
             self._pending_values.clear()
-            self._wake(self._parked_writers[replica])
+            wake_parked(self._sim, self._parked_writers[replica])
 
     def unquarantine(self, replica: int) -> None:
         """Clear a fault flag and nothing else: ``writes`` and ``space``
@@ -319,7 +321,7 @@ class SelectorChannel:
         self._maybe_complete_recovery(now)
         # Never let the respawned writer deadlock behind a stale park
         # (killed handles are ignored by the retry machinery).
-        self._wake(self._parked_writers[replica])
+        wake_parked(self._sim, self._parked_writers[replica])
 
     def _maybe_complete_recovery(self, now: float) -> None:
         recovering = self._recovering
@@ -380,9 +382,14 @@ class SelectorChannel:
 
     def _verify_pair(self, seqno: int, late_value: Any, now: float,
                      late_interface: int) -> None:
-        early_value = self._pending_values.pop(seqno, None)
-        if early_value is None:
+        pending = self._pending_values.get(seqno)
+        if pending is None:
             return
+        early_value, remaining = pending
+        if remaining == 1:
+            del self._pending_values[seqno]
+        else:
+            pending[1] = remaining - 1
         if not payload_equal(early_value, late_value):
             self.log.record(
                 now,
@@ -450,9 +457,9 @@ class SelectorChannel:
             self._check_divergence(now)
         parked_1, parked_2 = self._parked_writers
         if parked_1:
-            self._wake(parked_1)
+            wake_parked(self._sim, parked_1)
         if parked_2:
-            self._wake(parked_2)
+            wake_parked(self._sim, parked_2)
         return ("ok", token)
 
     def poll_write(self, index: int, token: Token, now: float):
@@ -517,9 +524,9 @@ class SelectorChannel:
                     if fill > trace.max_fill:
                         trace.max_fill = fill
             if self.verify_duplicates and not self._faulted:
-                self._pending_values[token[1]] = token[0]
+                self._pending_values[token[1]] = [token[0], self.n - 1]
             if self._parked_reader:
-                self._wake(self._parked_reader)
+                wake_parked(self._sim, self._parked_reader)
         else:
             self.drops[index] += 1
             if trace is not None:
@@ -579,7 +586,7 @@ class SelectorChannel:
             self._check_divergence(now)
         for parked in self._parked_writers:
             if parked:
-                self._wake(parked)
+                wake_parked(self._sim, parked)
         return ("ok", token)
 
     def _poll_write_n(self, index: int, token: Token, now: float):
@@ -623,9 +630,9 @@ class SelectorChannel:
             if trace is not None:
                 trace.on_write(now, token[1], index)
             if self.verify_duplicates and not self._faulted:
-                self._pending_values[token[1]] = token[0]
+                self._pending_values[token[1]] = [token[0], self.n - 1]
             if self._parked_reader:
-                self._wake(self._parked_reader)
+                wake_parked(self._sim, self._parked_reader)
         else:
             self.drops[index] += 1
             if trace is not None:
@@ -649,17 +656,6 @@ class SelectorChannel:
         if not handle.is_parked:
             handle.is_parked = True
             self._parked_writers[index].append(handle)
-
-    # -- internals ------------------------------------------------------------
-
-    def _wake(self, parked: Deque) -> None:
-        # FIFO wake order (see Fifo._wake): deterministic retry sequence.
-        sim = self._sim
-        while parked:
-            handle = parked.popleft()
-            handle.is_parked = False
-            if sim is not None:
-                sim.retry(handle)
 
     def __repr__(self) -> str:
         return (

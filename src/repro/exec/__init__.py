@@ -26,7 +26,6 @@ from repro.exec.pool import (
     fork_available,
 )
 from repro.exec.results import (
-    DetectionRecord,
     MonitorRecord,
     TaskResult,
     hash_values,
@@ -51,7 +50,6 @@ __all__ = [
     "CACHE_SCHEMA_VERSION",
     "DEFAULT_CACHE_DIR",
     "DistanceMonitorSpec",
-    "DetectionRecord",
     "KIND_DUPLICATED",
     "KIND_REFERENCE",
     "MonitorRecord",

@@ -22,16 +22,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class DetectionRecord:
-    """Flat copy of a :class:`~repro.core.detection.FaultReport`."""
-
-    time: float
-    site: str
-    replica: int
-    mechanism: str
-    detail: str = ""
+from repro.core.detection import FaultReport
 
 
 @dataclass(frozen=True)
@@ -64,7 +55,7 @@ class TaskResult:
     stalls: int = 0
     max_fills: Dict[str, int] = field(default_factory=dict)
     events: int = 0
-    detections: List[DetectionRecord] = field(default_factory=list)
+    detections: List[FaultReport] = field(default_factory=list)
     injected_at: Optional[float] = None
     latency_selector: Optional[float] = None
     latency_replicator: Optional[float] = None

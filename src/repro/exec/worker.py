@@ -24,7 +24,6 @@ import time
 from typing import List, Sequence, Tuple
 
 from repro.exec.results import (
-    DetectionRecord,
     MonitorRecord,
     TaskResult,
     hash_values,
@@ -123,16 +122,7 @@ def _execute_duplicated(spec, app, sizing) -> TaskResult:
         stalls=run.stalls,
         max_fills=dict(run.max_fills),
         events=run.events,
-        detections=[
-            DetectionRecord(
-                time=report.time,
-                site=report.site,
-                replica=report.replica,
-                mechanism=report.mechanism,
-                detail=report.detail,
-            )
-            for report in run.detections
-        ],
+        detections=list(run.detections),
         selector_drops=list(run.selector_drops),
         overhead_replicator=run.overhead_replicator,
         overhead_selector=run.overhead_selector,

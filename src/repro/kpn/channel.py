@@ -22,7 +22,7 @@ Channel protocol (duck typing, consumed by
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import Callable, Deque, Optional, Tuple
 
 from repro.kpn.errors import ProtocolError
 from repro.kpn.seriesrows import FOLD_SIZE
@@ -34,6 +34,24 @@ from repro.kpn.trace import ChannelTrace, EventRecord
 _EMPTY = ("empty", None)
 _FULL = ("full", None)
 _OK_WRITE = ("ok", None)
+
+
+def wake_parked(sim, parked: Deque) -> None:
+    """Empty ``parked``, queueing a retry of each process on ``sim``.
+
+    With no simulator bound (``sim is None``) the processes are only
+    unparked.
+
+    FIFO wake order: the longest-parked party retries first.  Wake order
+    feeds the engine's sequence numbers and thus trace identity, so it
+    must not depend on park history (a LIFO pop would reorder when two
+    parties share a parked deque).
+    """
+    while parked:
+        handle = parked.popleft()
+        handle.is_parked = False
+        if sim is not None:
+            sim.retry(handle)
 
 
 class ReadEndpoint:
@@ -106,18 +124,9 @@ class Fifo:
         self.capacity = capacity
         self._latency = transfer_latency
         self.trace = trace
-        #: Untimed channels (no transfer latency — the overwhelmingly
-        #: common case) queue bare tokens: a committed write is readable
-        #: immediately, so per-token ``(ready, token)`` pairs would only
-        #: ever carry a ready time in the past.  Timed channels keep the
-        #: pair representation.
-        self._timed = transfer_latency is not None
-        if self._timed:
-            self._queue: Deque = deque(
-                (0.0, token) for token in initial_tokens
-            )
-        else:
-            self._queue = deque(initial_tokens)
+        #: ``(ready, token)`` pairs; ``ready`` is the write instant plus
+        #: the transfer latency (the write instant without one).
+        self._queue: Deque = deque((0.0, token) for token in initial_tokens)
         if trace is not None and initial_tokens:
             trace.preset_fill(len(initial_tokens))
         #: Fill samples ``time, fill``, or ``None`` without an enabled
@@ -131,148 +140,12 @@ class Fifo:
         self._sim = None
         self._parked_readers: Deque = deque()
         self._parked_writers: Deque = deque()
-        self._specialize()
-
-    def _specialize(self) -> None:
-        """Install closure-specialised poll entry points when possible.
-
-        The general :meth:`poll_read`/:meth:`poll_write` pay ~6 ``self``
-        attribute loads per call re-fetching state that is fixed at
-        construction (queue, trace, fill rows, parked deques, capacity).
-        For the overwhelmingly common configuration — an untimed FIFO,
-        with or without metrics — this binds per-instance closures over
-        that state instead; operations pre-bind ``channel.poll_read`` at
-        construction, so they pick the specialised version up
-        transparently.  Timed channels keep the general methods (same
-        results either way: the closures are line-for-line the untimed
-        branch of the originals).
-        """
-        if self._timed:
-            return
-        name = self.name
-        queue = self._queue
-        capacity = self.capacity
-        trace = self.trace
-        rows = self._rows
-        parked_readers = self._parked_readers
-        parked_writers = self._parked_writers
-        popleft = queue.popleft
-        push = queue.append
-        wake = self._wake
-
-        if trace is None:
-
-            def poll_read(index: int, now: float):
-                if index != 0:
-                    raise ProtocolError(
-                        f"{name}: bad read interface {index}"
-                    )
-                if not queue:
-                    return _EMPTY
-                token = popleft()
-                if rows is not None:
-                    rows.extend((now, len(queue)))
-                    if len(rows) >= FOLD_SIZE:
-                        rows.fold()
-                if parked_writers:
-                    wake(parked_writers)
-                return ("ok", token)
-
-            def poll_write(index: int, token: Token, now: float):
-                if index != 0:
-                    raise ProtocolError(
-                        f"{name}: bad write interface {index}"
-                    )
-                if len(queue) >= capacity:
-                    return _FULL
-                push(token)
-                if rows is not None:
-                    rows.extend((now, len(queue)))
-                    if len(rows) >= FOLD_SIZE:
-                        rows.fold()
-                if parked_readers:
-                    wake(parked_readers)
-                return _OK_WRITE
-
-        else:
-
-            def poll_read(index: int, now: float):
-                if index != 0:
-                    raise ProtocolError(
-                        f"{name}: bad read interface {index}"
-                    )
-                if not queue:
-                    return _EMPTY
-                token = popleft()
-                # Inlined ChannelTrace.on_read — see the general method.
-                if trace.fill <= 0:
-                    trace.on_read(now, token[1])  # raises TraceError
-                trace.fill -= 1
-                trace.reads += 1
-                if trace.record_events:
-                    trace.events.append(
-                        EventRecord(now, "read", token[1], 0)
-                    )
-                if rows is not None:
-                    rows.extend((now, len(queue)))
-                    if len(rows) >= FOLD_SIZE:
-                        rows.fold()
-                if parked_writers:
-                    wake(parked_writers)
-                return ("ok", token)
-
-            def poll_write(index: int, token: Token, now: float):
-                if index != 0:
-                    raise ProtocolError(
-                        f"{name}: bad write interface {index}"
-                    )
-                if len(queue) >= capacity:
-                    return _FULL
-                push(token)
-                # Inlined ChannelTrace.on_write (see poll_read).
-                fill = trace.fill + 1
-                trace.fill = fill
-                trace.writes += 1
-                if fill > trace.max_fill:
-                    trace.max_fill = fill
-                if trace.record_events:
-                    trace.events.append(
-                        EventRecord(now, "write", token[1], 0)
-                    )
-                if rows is not None:
-                    rows.extend((now, len(queue)))
-                    if len(rows) >= FOLD_SIZE:
-                        rows.fold()
-                if parked_readers:
-                    wake(parked_readers)
-                return _OK_WRITE
-
-        self.poll_read = poll_read  # type: ignore[method-assign]
-        self.poll_write = poll_write  # type: ignore[method-assign]
 
     # -- wiring -------------------------------------------------------------
 
     def bind(self, sim) -> None:
-        """Attach the simulator used to wake parked processes.
-
-        Binding also specialises :meth:`_wake` into a closure over
-        ``sim.retry``: wakes run on the poll fast path (every committed
-        read/write with a parked counterparty), and the per-wake
-        ``self._sim`` fetch + ``None`` test are measurable there.
-        """
+        """Attach the simulator used to wake parked processes."""
         self._sim = sim
-        if sim is not None:
-            retry = sim.retry
-
-            def _wake(parked: Deque) -> None:
-                # FIFO wake order — see the unbound method's comment.
-                while parked:
-                    handle = parked.popleft()
-                    handle.is_parked = False
-                    retry(handle)
-
-            self._wake = _wake  # type: ignore[method-assign]
-            self._specialize()
 
     @property
     def reader(self) -> ReadEndpoint:
@@ -296,19 +169,6 @@ class Fifo:
         """Free capacity."""
         return self.capacity - len(self._queue)
 
-    def peek_ready_time(self) -> Optional[float]:
-        """Arrival time of the head token, or ``None`` if empty.
-
-        Untimed channels (no ``transfer_latency``) do not retain arrival
-        instants — a queued token is readable immediately — so they
-        report ``0.0`` for any queued head.
-        """
-        if not self._queue:
-            return None
-        if self._timed:
-            return self._queue[0][0]
-        return 0.0
-
     # -- channel protocol -----------------------------------------------------
 
     def poll_read(self, index: int, now: float):
@@ -317,13 +177,10 @@ class Fifo:
         queue = self._queue
         if not queue:
             return _EMPTY
-        if self._timed:
-            ready, token = queue[0]
-            if ready > now + 1e-12:
-                return ("wait", ready)
-            queue.popleft()
-        else:
-            token = queue.popleft()
+        ready, token = queue[0]
+        if ready > now + 1e-12:
+            return ("wait", ready)
+        queue.popleft()
         trace = self.trace
         if trace is not None:
             # Inlined ChannelTrace.on_read: one committed read per token
@@ -341,7 +198,7 @@ class Fifo:
             if len(rows) >= FOLD_SIZE:
                 rows.fold()
         if self._parked_writers:
-            self._wake(self._parked_writers)
+            wake_parked(self._sim, self._parked_writers)
         return ("ok", token)
 
     def poll_write(self, index: int, token: Token, now: float):
@@ -350,10 +207,10 @@ class Fifo:
         queue = self._queue
         if len(queue) >= self.capacity:
             return _FULL
-        if self._timed:
-            queue.append((now + self._latency(token), token))
-        else:
-            queue.append(token)
+        latency = self._latency
+        queue.append(
+            (now if latency is None else now + latency(token), token)
+        )
         trace = self.trace
         if trace is not None:
             # Inlined ChannelTrace.on_write (see poll_read).
@@ -370,7 +227,7 @@ class Fifo:
             if len(rows) >= FOLD_SIZE:
                 rows.fold()
         if self._parked_readers:
-            self._wake(self._parked_readers)
+            wake_parked(self._sim, self._parked_readers)
         return _OK_WRITE
 
     def park_reader(self, index: int, handle) -> None:
@@ -382,20 +239,6 @@ class Fifo:
         if not handle.is_parked:
             handle.is_parked = True
             self._parked_writers.append(handle)
-
-    # -- internals ------------------------------------------------------------
-
-    def _wake(self, parked: Deque) -> None:
-        # FIFO wake order: the longest-parked party retries first.  Wake
-        # order feeds the engine's sequence numbers and thus trace
-        # identity, so it must not depend on park history (a LIFO pop
-        # would reorder when two parties share a parked deque).
-        sim = self._sim
-        while parked:
-            handle = parked.popleft()
-            handle.is_parked = False
-            if sim is not None:
-                sim.retry(handle)
 
     def __repr__(self) -> str:
         return f"Fifo({self.name}, fill={self.fill}/{self.capacity})"

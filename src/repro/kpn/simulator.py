@@ -408,7 +408,7 @@ class Simulator:
                 self._now = time
                 events += 1
                 if from_runq:
-                    # Direct-handoff wake, inlined from _fire_wake.
+                    # Direct-handoff wake.
                     runq.popleft()
                     runq_fired += 1
                     handle = entry[2]
@@ -421,8 +421,8 @@ class Simulator:
                     event = entry[2]
                     cls = event.__class__
                     if cls is ResumeEvent:
-                        # Fast path for the most frequent record (Delay
-                        # completions); everything else takes the table.
+                        # The most frequent record (Delay completions)
+                        # fires inline; everything else takes the table.
                         advance(event.handle, None)
                     else:
                         jump[cls](self, event)
@@ -440,37 +440,10 @@ class Simulator:
     def step(self) -> bool:
         """Process a single event; returns False when none are pending.
 
-        Counts the event exactly as :meth:`run` does, engine metrics
-        included.
+        A one-event :meth:`run` of the same loop, so the event is counted
+        exactly as there, engine metrics included.
         """
-        heap = self._heap
-        runq = self._runq
-        if runq and (
-            not heap
-            or runq[0][0] < heap[0][0]
-            or (runq[0][0] == heap[0][0] and runq[0][1] < heap[0][1])
-        ):
-            time, _seq, handle = runq.popleft()
-            self._now = time
-            self._count_step(from_runq=True)
-            self._fire_wake(handle)
-            return True
-        if not heap:
-            return False
-        time, _seq, event = heapq.heappop(heap)
-        self._now = time
-        self._count_step(from_runq=False)
-        _JUMP_TABLE[event.__class__](self, event)
-        return True
-
-    def _count_step(self, from_runq: bool) -> None:
-        self._event_count += 1
-        if self._metrics is not None:
-            self._m_events.inc()
-            if from_runq:
-                self._m_runq_wakes.inc()
-            else:
-                self._m_heap_events.inc()
+        return self._drive_heap(RunStats(), math.inf, 1) == 1
 
     # -- event firing ---------------------------------------------------------
 
@@ -482,21 +455,11 @@ class Simulator:
             self._hook(self._now, handle.name, "start", None)
         self._advance(handle, None)
 
-    def _fire_resume(self, event: ResumeEvent) -> None:
-        self._advance(event.handle, None)
-
     def _fire_retry(self, event: RetryEvent) -> None:
         self._reattempt(event.handle, event.operation)
 
     def _fire_callback(self, event: CallbackEvent) -> None:
         event.action()
-
-    def _fire_wake(self, handle: ProcessHandle) -> None:
-        """Fire one direct-handoff wake from the run queue."""
-        handle.wake_scheduled = False
-        operation = handle.pending_op
-        if operation is not None:
-            self._reattempt(handle, operation)
 
     def _reattempt(self, handle: ProcessHandle, operation: Operation) -> None:
         """Re-poll a blocked operation; resume the process on success.
@@ -700,7 +663,6 @@ _DELAYED = ProcessState.DELAYED
 #: the concrete class avoids an isinstance ladder in the hot loop.
 _JUMP_TABLE = {
     StartEvent: Simulator._fire_start,
-    ResumeEvent: Simulator._fire_resume,
     RetryEvent: Simulator._fire_retry,
     CallbackEvent: Simulator._fire_callback,
 }

@@ -25,6 +25,7 @@ from repro.campaign.scenario import (
     Scenario,
     SyntheticModels,
 )
+from repro.core.detection import FaultReport
 from repro.exec import (
     KIND_DUPLICATED,
     KIND_REFERENCE,
@@ -32,7 +33,7 @@ from repro.exec import (
     WorkerPool,
 )
 from repro.exec.pool import fork_available
-from repro.exec.results import DetectionRecord, TaskResult
+from repro.exec.results import TaskResult
 from repro.rtc.pjd import PJD
 
 
@@ -59,7 +60,7 @@ def _false_positive(kind):
     return TaskResult(
         kind=kind,
         value_hashes=["h1", "h2", "h3"],
-        detections=[DetectionRecord(time=100.0, site="selector",
+        detections=[FaultReport(time=100.0, site="selector",
                                     replica=0, mechanism="divergence")],
     )
 

@@ -14,7 +14,8 @@ from repro.campaign.oracles import (
     oracles_by_name,
 )
 from repro.campaign.scenario import Scenario, SyntheticModels
-from repro.exec.results import DetectionRecord, TaskResult
+from repro.core.detection import FaultReport
+from repro.exec.results import TaskResult
 from repro.faults.models import FAIL_STOP, RATE_DEGRADE, FaultSpec
 from repro.rtc.pjd import PJD
 from repro.rtc.sizing import SizingResult
@@ -79,7 +80,7 @@ class TestRunOk:
 
 class TestNoFalsePositive:
     def test_fault_free_run_must_have_zero_detections(self):
-        detected = _result(detections=[DetectionRecord(
+        detected = _result(detections=[FaultReport(
             time=100.0, site="selector", replica=1,
             mechanism="divergence")])
         violations = ORACLES["no-false-positive"](
@@ -90,7 +91,7 @@ class TestNoFalsePositive:
     def test_detection_before_injection_is_false_positive(self):
         early = _result(
             injected_at=310.0,
-            detections=[DetectionRecord(time=200.0, site="selector",
+            detections=[FaultReport(time=200.0, site="selector",
                                         replica=0,
                                         mechanism="divergence")],
         )
@@ -103,7 +104,7 @@ class TestNoFalsePositive:
     def test_post_injection_detection_is_fine(self):
         detected = _result(
             injected_at=310.0,
-            detections=[DetectionRecord(time=330.0, site="selector",
+            detections=[FaultReport(time=330.0, site="selector",
                                         replica=0,
                                         mechanism="divergence")],
         )
@@ -122,7 +123,7 @@ class TestIsolation:
     def test_flags_healthy_replica_implicated(self):
         wrong = _result(
             injected_at=310.0,
-            detections=[DetectionRecord(time=330.0, site="selector",
+            detections=[FaultReport(time=330.0, site="selector",
                                         replica=1,
                                         mechanism="divergence")],
         )
@@ -135,7 +136,7 @@ class TestIsolation:
     def test_faulty_replica_detections_pass(self):
         right = _result(
             injected_at=310.0,
-            detections=[DetectionRecord(time=330.0, site="selector",
+            detections=[FaultReport(time=330.0, site="selector",
                                         replica=0,
                                         mechanism="divergence")],
         )
@@ -161,7 +162,7 @@ class TestDetectionLatency:
             injected_at=310.0,
             latency_selector=41.0,  # bound is 40 ms
             latency_replicator=20.0,
-            detections=[DetectionRecord(time=351.0, site="selector",
+            detections=[FaultReport(time=351.0, site="selector",
                                         replica=0,
                                         mechanism="divergence")],
         )
@@ -176,7 +177,7 @@ class TestDetectionLatency:
             injected_at=310.0,
             latency_selector=39.0,
             latency_replicator=49.0,
-            detections=[DetectionRecord(time=349.0, site="selector",
+            detections=[FaultReport(time=349.0, site="selector",
                                         replica=0,
                                         mechanism="divergence")],
         )
@@ -192,7 +193,7 @@ class TestDetectionLatency:
         late = _result(
             injected_at=310.0,
             latency_selector=500.0,  # way past the fail-stop bound
-            detections=[DetectionRecord(time=810.0, site="selector",
+            detections=[FaultReport(time=810.0, site="selector",
                                         replica=0,
                                         mechanism="divergence")],
         )
@@ -264,7 +265,7 @@ class TestRecovery:
         recovered = _result(
             injected_at=310.0,
             times=list(times),
-            detections=[DetectionRecord(time=330.0, site="selector",
+            detections=[FaultReport(time=330.0, site="selector",
                                         replica=0,
                                         mechanism="divergence")],
             recovery={"attempts": [self._attempt()], "completed": 1},
@@ -311,9 +312,9 @@ class TestRecovery:
         relapsed = _result(
             injected_at=310.0,
             detections=[
-                DetectionRecord(time=330.0, site="selector", replica=0,
+                FaultReport(time=330.0, site="selector", replica=0,
                                 mechanism="divergence"),
-                DetectionRecord(time=500.0, site="selector", replica=0,
+                FaultReport(time=500.0, site="selector", replica=0,
                                 mechanism="stall"),
             ],
             recovery={"attempts": [self._attempt()]},

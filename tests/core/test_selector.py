@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.detection import MECHANISM_VALUE
 from repro.core.selector import SelectorChannel
 from repro.kpn.errors import ProtocolError, SimulationError
 from repro.kpn.tokens import Token
@@ -248,6 +249,28 @@ class TestValueVerification:
         with pytest.raises(SimulationError):
             sel.poll_write(1, tok(2, value=np.arange(1, 6)), 3.0)
 
+
+    def test_every_late_member_compared(self):
+        # n = 3: the first member's payload stays pending until both late
+        # members have been compared against it.
+        sel = SelectorChannel("sel", (4, 4, 4), verify_duplicates=True)
+        sel.poll_write(0, tok(1, value="a"), 0.0)
+        sel.poll_write(1, tok(1, value="a"), 1.0)
+        with pytest.raises(SimulationError):
+            sel.poll_write(2, tok(1, value="CORRUPT"), 2.0)
+        [report] = sel.log.reports
+        assert (report.replica, report.mechanism) == (2, MECHANISM_VALUE)
+
+    def test_two_replicas_compare_once(self):
+        sel = SelectorChannel("sel", (4, 4), verify_duplicates=True)
+        sel.poll_write(0, tok(1, value="a"), 0.0)
+        sel.poll_write(1, tok(1, value="a"), 1.0)
+        assert sel._pending_values == {}
+        sel.poll_write(0, tok(2, value="a"), 2.0)
+        with pytest.raises(SimulationError):
+            sel.poll_write(1, tok(2, value="b"), 3.0)
+        [report] = sel.log.reports
+        assert (report.replica, report.mechanism) == (1, MECHANISM_VALUE)
 
 class TestAccounting:
     def test_op_cost_hook(self):

@@ -138,19 +138,27 @@ class TestFifoSemantics:
         assert trace.writes == 2
         assert trace.reads == 1
 
-    def test_peek_ready_time(self):
-        # Untimed channels don't retain arrival instants: a queued token
-        # is readable immediately, reported as ready time 0.0.
+    def test_untimed_read_at_write_instant(self):
         fifo = Fifo("f", 2)
-        assert fifo.peek_ready_time() is None
-        fifo.poll_write(0, tok(1, 1), 3.0)
-        assert fifo.peek_ready_time() == pytest.approx(0.0)
+        assert fifo.poll_read(0, 3.0) == ("empty", None)
+        token = tok(1, 1)
+        fifo.poll_write(0, token, 3.0)
+        assert fifo.poll_read(0, 3.0) == ("ok", token)
 
-    def test_peek_ready_time_timed(self):
+    def test_timed_read_before_arrival(self):
         fifo = Fifo("f", 2, transfer_latency=lambda t: 2.0)
-        assert fifo.peek_ready_time() is None
         fifo.poll_write(0, tok(1, 1), 3.0)
-        assert fifo.peek_ready_time() == pytest.approx(5.0)
+        assert fifo.poll_read(0, 4.0) == ("wait", pytest.approx(5.0))
+
+    def test_one_poll_body_for_every_configuration(self):
+        from repro.obs.metrics import MetricsRegistry
+
+        for fifo in (Fifo("u", 2),
+                     Fifo("t", 2, transfer_latency=lambda t: 1.0),
+                     Fifo("m", 2, metrics=MetricsRegistry())):
+            fifo.bind(Simulator())
+            assert "poll_read" not in vars(fifo)
+            assert "poll_write" not in vars(fifo)
 
     def test_repr(self):
         assert "f" in repr(Fifo("f", 2))
@@ -202,37 +210,6 @@ class TestWakeOrder:
 
 class TestFillMetrics:
     """``chan.<name>.fill`` sampling through a row buffer."""
-
-    def test_metrics_keep_the_specialised_closures(self):
-        from repro.obs.metrics import MetricsRegistry
-
-        plain = Fifo("f", 2, metrics=MetricsRegistry())
-        assert "poll_read" in vars(plain) and "poll_write" in vars(plain)
-        timed = Fifo("t", 2, transfer_latency=lambda token: 1.0,
-                     metrics=MetricsRegistry())
-        assert "poll_read" not in vars(timed)
-
-    @pytest.mark.parametrize("traced", [False, True])
-    def test_specialised_sampling_matches_general(self, traced):
-        from repro.obs.metrics import MetricsRegistry
-
-        def samples(specialised):
-            registry = MetricsRegistry()
-            trace = ChannelTrace("f") if traced else None
-            fifo = Fifo("f", 3, trace=trace, metrics=registry,
-                        initial_tokens=(tok(0, 0),))
-            write = fifo.poll_write if specialised else (
-                lambda *args: Fifo.poll_write(fifo, *args))
-            read = fifo.poll_read if specialised else (
-                lambda *args: Fifo.poll_read(fifo, *args))
-            for i in range(1, 7):
-                write(0, tok(i, i), float(i))
-                write(0, tok(i, i), float(i) + 0.5)
-                read(0, float(i) + 0.75)
-            return registry.get("chan.f.fill").samples()
-
-        assert samples(True) == samples(False)
-        assert samples(True)[:3] == [(0.0, 1), (1.0, 2), (1.5, 3)]
 
     def test_import_first_in_a_fresh_interpreter(self):
         # The channel module is the engine's leaf: importing it before
