@@ -52,12 +52,15 @@ class SyntheticVideo:
 
     def frame(self, index: int) -> np.ndarray:
         """The ``index``-th frame (uint8, ``height x width``)."""
-        y, x = np.mgrid[0: self.height, 0: self.width]
+        # 128 + 55 sin(x-term) + 35 cos(y-term): each term depends on one
+        # axis only, so it is evaluated on that axis and broadcast, in the
+        # same order of additions as the full-grid formula.
+        x = np.arange(self.width)
+        y = np.arange(self.height)
         phase = index * 0.35
         base = (
-            128.0
-            + 55.0 * np.sin((x + 4.0 * index) / 11.0 + phase * 0.1)
-            + 35.0 * np.cos((y - 2.0 * index) / 8.0)
+            (128.0 + 55.0 * np.sin((x + 4.0 * index) / 11.0 + phase * 0.1))
+            + (35.0 * np.cos((y - 2.0 * index) / 8.0))[:, None]
         )
         # Scroll the texture by the frame index (pure translation: ideal
         # for the motion estimator, like a panning camera).

@@ -56,13 +56,14 @@ disables the cache, ``--refresh`` recomputes but re-stores).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional, Sequence
 
 from repro.apps import ALL_APPLICATIONS
 from repro.apps.base import AppScale
 from repro.rtc.pjd import PJD
-from repro.tools import bench_compare, finite_non_negative
+from repro.tools import finite_non_negative
 
 _APPS = {cls.name: cls for cls in ALL_APPLICATIONS}
 
@@ -92,6 +93,19 @@ def _positive_int(text: str) -> int:
         pass
     raise argparse.ArgumentTypeError(
         f"expected a positive integer, got {text!r}"
+    )
+
+
+def _slowdown(text: str) -> float:
+    """A rate-degrade service-time factor: a finite float > 1."""
+    try:
+        value = float(text)
+        if math.isfinite(value) and value > 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected a finite number > 1, got {text!r}"
     )
 
 
@@ -565,6 +579,12 @@ def _cmd_cache(args) -> int:
     return 0
 
 
+def _cmd_bench(args) -> int:
+    from repro.tools import bench_compare
+
+    return bench_compare.main(args.argv)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -595,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--replica", type=int, choices=[0, 1], default=0)
     demo.add_argument("--degrade", action="store_true",
                       help="rate-degradation instead of fail-stop")
-    demo.add_argument("--slowdown", type=float, default=4.0)
+    demo.add_argument("--slowdown", type=_slowdown, default=4.0)
     demo.add_argument("--warmup", type=int, default=80)
     demo.add_argument("--seed", type=int, default=1)
     demo.set_defaults(func=_cmd_demo)
@@ -649,7 +669,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--fault", default="fail-stop",
                      choices=["fail-stop", "rate-degrade", "none"])
     rep.add_argument("--replica", type=int, choices=[0, 1], default=0)
-    rep.add_argument("--slowdown", type=float, default=4.0,
+    rep.add_argument("--slowdown", type=_slowdown, default=4.0,
                      help="service-time factor for rate-degrade faults")
     rep.add_argument("--warmup", type=int, default=80,
                      help="tokens before the injection instant")
@@ -772,7 +792,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(options: repro bench --help)",
     )
     bench.add_argument("argv", nargs="*")
-    bench.set_defaults(func=lambda args: bench_compare.main(args.argv))
+    bench.set_defaults(func=_cmd_bench)
     return parser
 
 

@@ -7,9 +7,9 @@ and reduces the outcome to a pickleable
 (serial fallback) and inside a pool worker — parallel sweeps are
 byte-identical to serial ones because this is the only execution path.
 
-Experiment-layer imports are deferred into the function bodies:
-``repro.experiments`` imports the executor, so importing the experiment
-harnesses here at module scope would be circular.
+The experiment runner and the run validator load with this module, so
+a forked pool worker inherits them from its parent instead of importing
+them on its first task.
 
 A spec normally carries its solved sizing.  One handed over unsized is
 solved here, through the process-global ``size_duplicated_network``
@@ -35,6 +35,9 @@ from repro.exec.taskspec import (
     TaskSpec,
     build_app,
 )
+from repro.experiments.runner import run_duplicated, run_reference
+from repro.experiments.validation import validate_run
+from repro.kpn.errors import SimulationError
 
 #: Name under which the declarative baseline monitor registers itself
 #: (matches the Table 3 harness).
@@ -43,8 +46,6 @@ MONITOR_NAME = "distance-monitor"
 
 def execute_task(spec: TaskSpec) -> TaskResult:
     """Execute one task spec and return its serialisable result."""
-    from repro.kpn.errors import SimulationError
-
     start = time.perf_counter()
     app = build_app(spec)
     sizing = spec.sizing if spec.sizing is not None else app.sizing()
@@ -73,8 +74,6 @@ def run_chunk(
 
 
 def _execute_reference(spec, app, sizing) -> TaskResult:
-    from repro.experiments.runner import run_reference
-
     run = run_reference(
         app,
         spec.tokens,
@@ -95,8 +94,6 @@ def _execute_reference(spec, app, sizing) -> TaskResult:
 
 
 def _execute_duplicated(spec, app, sizing) -> TaskResult:
-    from repro.experiments.runner import run_duplicated
-
     monitor_factory = None
     if spec.monitor is not None:
         monitor_factory = _monitor_factory(app, spec.monitor)
@@ -139,8 +136,6 @@ def _execute_duplicated(spec, app, sizing) -> TaskResult:
             for d in monitor.detections
         ]
     if spec.validate:
-        from repro.experiments.validation import validate_run
-
         recorder = run.network.network.recorder
         result.validation = validate_run(
             app,

@@ -14,40 +14,33 @@
 All multi-run harnesses execute through the :mod:`repro.exec` sweep
 executor and accept ``jobs`` / ``cache`` parameters; serial, parallel
 and cache-replayed executions produce identical results.
+
+Only :mod:`~repro.experiments.runner` loads with the package; every other
+re-export imports its submodule (and, for the sweeps, :mod:`repro.exec`)
+on first use.
 """
 
+from repro._lazy import lazy_exports
 from repro.experiments.runner import (
     DuplicatedRun,
     ReferenceRun,
     run_duplicated,
     run_reference,
 )
-from repro.experiments.table1 import render_table1, table1_rows
-from repro.experiments.table2 import (
-    Table2Result,
-    render_table2,
-    run_table2,
-    table2_specs,
-)
-from repro.experiments.table3 import (
-    Table3Result,
-    render_table3,
-    run_table3,
-    table3_specs,
-)
-from repro.experiments.reproduce import ReproductionResult, reproduce_all
-from repro.experiments.validation import (
-    ConformanceViolation,
-    ValidationReport,
-    check_curve_conformance,
-    validate_run,
-    validation_sweep,
-)
-from repro.experiments.ablations import (
-    capacity_margin_sweep,
-    polling_interval_sweep,
-    threshold_sweep,
-)
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    **dict.fromkeys(["render_table1", "table1_rows"], "table1"),
+    **dict.fromkeys(["Table2Result", "render_table2", "run_table2",
+                     "table2_specs"], "table2"),
+    **dict.fromkeys(["Table3Result", "render_table3", "run_table3",
+                     "table3_specs"], "table3"),
+    **dict.fromkeys(["ReproductionResult", "reproduce_all"], "reproduce"),
+    **dict.fromkeys(["ConformanceViolation", "ValidationReport",
+                     "check_curve_conformance", "validate_run",
+                     "validation_sweep"], "validation"),
+    **dict.fromkeys(["capacity_margin_sweep", "polling_interval_sweep",
+                     "threshold_sweep"], "ablations"),
+})
 
 __all__ = [
     "ReproductionResult",

@@ -9,8 +9,12 @@ are provided:
   instant (the shape used in the paper's experiments, Section 4.2);
 * :data:`RATE_DEGRADE` — the replica's processes keep running with all
   service times scaled up by a slowdown factor.
+
+The phase sweeps (:mod:`~repro.faults.scenarios`, which runs the
+experiment harness) and the fault sampler load on first use.
 """
 
+from repro._lazy import lazy_exports
 from repro.faults.models import (
     FAIL_STOP,
     RATE_DEGRADE,
@@ -18,18 +22,12 @@ from repro.faults.models import (
 )
 from repro.faults.injector import FaultInjector
 
-__all__ = ["FAIL_STOP", "RATE_DEGRADE", "FaultSpec", "FaultInjector"]
+__getattr__, __dir__ = lazy_exports(__name__, {
+    **dict.fromkeys(["PhasePoint", "ScenarioResult", "phase_sweep",
+                     "scenario_matrix"], "scenarios"),
+    **dict.fromkeys(["FaultSampler", "derive_rng"], "sampling"),
+})
 
-from repro.faults.scenarios import (  # noqa: E402
-    PhasePoint,
-    ScenarioResult,
-    phase_sweep,
-    scenario_matrix,
-)
-from repro.faults.sampling import (  # noqa: E402
-    FaultSampler,
-    derive_rng,
-)
-
-__all__ += ["PhasePoint", "ScenarioResult", "phase_sweep",
-            "scenario_matrix", "FaultSampler", "derive_rng"]
+__all__ = ["FAIL_STOP", "RATE_DEGRADE", "FaultSpec", "FaultInjector",
+           "PhasePoint", "ScenarioResult", "phase_sweep",
+           "scenario_matrix", "FaultSampler", "derive_rng"]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 #: The replica halts entirely at the injection instant.
@@ -29,6 +30,9 @@ class FaultSpec:
         :data:`FAIL_STOP` or :data:`RATE_DEGRADE`.
     slowdown:
         Service-time multiplier for :data:`RATE_DEGRADE` (must be > 1).
+
+    ``time`` and ``slowdown`` must be finite: NaN compares false against
+    every bound and would slip past the range checks.
     """
 
     replica: int
@@ -39,6 +43,8 @@ class FaultSpec:
     def __post_init__(self) -> None:
         if self.replica not in (0, 1):
             raise ValueError("replica must be 0 or 1")
+        if not (math.isfinite(self.time) and math.isfinite(self.slowdown)):
+            raise ValueError("fault time and slowdown must be finite")
         if self.time < 0:
             raise ValueError("fault time must be >= 0")
         if self.kind not in _KINDS:

@@ -16,8 +16,13 @@ The package is organised as two halves plus two consumers:
   append-only JSONL run ledger with tolerant replay) and
   :mod:`repro.obs.live` (the ``repro top`` renderer, Prometheus text
   exposition and the read-only HTTP status endpoint).
+
+The metrics, timeline and report modules load with the package; the
+trace exporter, the RTC cache probe and the streaming half load on first
+use of one of their names, so a single run never imports the HTTP stack.
 """
 
+from repro._lazy import lazy_exports
 from repro.obs.metrics import (
     DISABLED,
     SNAPSHOT_SCHEMA,
@@ -33,11 +38,6 @@ from repro.obs.timeline import (
     RunTimeline,
     Transition,
 )
-from repro.obs.chrometrace import (
-    build_chrome_trace,
-    build_trace_events,
-    write_chrome_trace,
-)
 from repro.obs.report import (
     REPORT_SCHEMA,
     SCHEMA_ID,
@@ -45,21 +45,17 @@ from repro.obs.report import (
     render_report,
     validate_report,
 )
-from repro.obs.rtccache import rtc_cache_stats
-from repro.obs.ledger import (
-    LEDGER_SCHEMA,
-    LedgerReplay,
-    LedgerWriter,
-    build_status,
-    merged_snapshot,
-    read_ledger,
-    read_status,
-)
-from repro.obs.live import (
-    StatusServer,
-    render_prometheus,
-    render_top,
-)
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    **dict.fromkeys(["build_chrome_trace", "build_trace_events",
+                     "write_chrome_trace"], "chrometrace"),
+    "rtc_cache_stats": "rtccache",
+    **dict.fromkeys(["LEDGER_SCHEMA", "LedgerReplay", "LedgerWriter",
+                     "build_status", "merged_snapshot", "read_ledger",
+                     "read_status"], "ledger"),
+    **dict.fromkeys(["StatusServer", "render_prometheus", "render_top"],
+                    "live"),
+})
 
 __all__ = [
     "DISABLED",

@@ -1,8 +1,25 @@
 """Tests for synthetic media generators."""
 
 import numpy as np
+import pytest
 
 from repro.apps.sources import SyntheticAudio, SyntheticVideo
+
+
+def _full_grid_frame(video, index):
+    """The frame formula evaluated on the whole pixel grid: the reference
+    for the per-axis evaluation in :meth:`SyntheticVideo.frame`."""
+    y, x = np.mgrid[0: video.height, 0: video.width]
+    phase = index * 0.35
+    base = (
+        128.0
+        + 55.0 * np.sin((x + 4.0 * index) / 11.0 + phase * 0.1)
+        + 35.0 * np.cos((y - 2.0 * index) / 8.0)
+    )
+    dy = (2 * index) % video.height
+    dx = (3 * index) % video.width
+    texture = video._texture[dy: dy + video.height, dx: dx + video.width]
+    return np.clip(base + texture, 0, 255).astype(np.uint8)
 
 
 class TestSyntheticVideo:
@@ -25,6 +42,14 @@ class TestSyntheticVideo:
     def test_frames_evolve(self):
         video = SyntheticVideo(64, 48, seed=0)
         assert not np.array_equal(video.frame(0), video.frame(1))
+
+    @pytest.mark.parametrize("width, height", [(96, 72), (320, 240),
+                                               (50, 38)])
+    def test_matches_full_grid_formula(self, width, height):
+        video = SyntheticVideo(width, height, seed=5)
+        for index in range(300):
+            assert np.array_equal(video.frame(index),
+                                  _full_grid_frame(video, index)), index
 
     def test_has_texture(self):
         # The codecs need non-trivial content; a flat frame would make

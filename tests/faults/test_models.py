@@ -1,5 +1,7 @@
 """Tests for fault specifications."""
 
+import math
+
 import pytest
 
 from repro.faults.models import FAIL_STOP, RATE_DEGRADE, FaultSpec
@@ -25,6 +27,17 @@ class TestFaultSpec:
     def test_rejects_slowdown_below_one(self):
         with pytest.raises(ValueError):
             FaultSpec(replica=0, time=0.0, kind=RATE_DEGRADE, slowdown=0.5)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_time(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            FaultSpec(replica=0, time=value)
+
+    @pytest.mark.parametrize("kind", [FAIL_STOP, RATE_DEGRADE])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_slowdown(self, kind, value):
+        with pytest.raises(ValueError, match="finite"):
+            FaultSpec(replica=0, time=10.0, kind=kind, slowdown=value)
 
     def test_rate_degrade_valid(self):
         spec = FaultSpec(replica=1, time=5.0, kind=RATE_DEGRADE,

@@ -432,3 +432,15 @@ class TestMalformedNumbers:
                   "--no-cache"])
         assert exit_info.value.code == 2
         assert "--jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["demo", "--app", "adpcm", "--degrade"],
+        ["report", "--app", "adpcm", "--fault", "rate-degrade"],
+    ], ids=["demo", "report"])
+    @pytest.mark.parametrize("slowdown", ["nan", "inf", "-inf", "0.5", "1",
+                                          "fast"])
+    def test_bad_slowdown_is_a_usage_error(self, capsys, command, slowdown):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, f"--slowdown={slowdown}"])
+        assert exit_info.value.code == 2
+        assert "--slowdown" in capsys.readouterr().err
