@@ -19,6 +19,7 @@ Run:  python examples/calibration_workflow.py
 from repro.apps.synthetic import SyntheticApp
 from repro.experiments.runner import fault_time_for, run_duplicated
 from repro.faults.models import FAIL_STOP, FaultSpec
+from repro.kpn.tracefile import channel_timestamps
 from repro.rtc.calibration import fit_pjd
 from repro.rtc.pjd import PJD
 from repro.rtc.sizing import size_duplicated_network
@@ -38,10 +39,7 @@ def main() -> None:
     observation = run_duplicated(secret, 400, seed=9,
                                  sizing=true_sizing, record_events=True)
     recorder = observation.network.network.recorder
-    producer_trace = recorder["replicator.R1"].write_times(interface=0)
-    replica_traces = [
-        recorder["selector.S"].events,
-    ]
+    producer_trace = channel_timestamps(recorder["replicator.R1"], "write")
     out_times = [
         [e.time for e in recorder["selector.S"].events
          if e.kind in ("write", "drop") and e.interface == k]

@@ -33,7 +33,6 @@ class SyntheticVideo:
         # A fixed texture layer so consecutive frames share content that
         # motion estimation can track.
         noise = rng.normal(0.0, 1.0, (self.height * 2, self.width * 2))
-        kernel = np.ones((5, 5)) / 25.0
         # Cheap separable smoothing via cumulative sums.
         smoothed = noise
         for _ in range(2):
@@ -48,7 +47,6 @@ class SyntheticVideo:
                 )[:, :-5]
             ) / 5.0
         self._texture = smoothed * 20.0
-        del kernel
 
     def frame(self, index: int) -> np.ndarray:
         """The ``index``-th frame (uint8, ``height x width``)."""

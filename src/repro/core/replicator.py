@@ -50,7 +50,7 @@ from repro.kpn.errors import ProtocolError, SimulationError
 from repro.kpn.channel import ReadEndpoint, WriteEndpoint, wake_parked
 from repro.kpn.seriesrows import FOLD_SIZE
 from repro.kpn.tokens import Token
-from repro.kpn.trace import ChannelTrace
+from repro.kpn.trace import ChannelTrace, EventRecord
 
 
 class ReplicatorChannel:
@@ -68,7 +68,10 @@ class ReplicatorChannel:
     transfer_latency:
         Optional ``f(token) -> ms`` communication latency (SCC model).
     traces:
-        Optional sequence of ``n`` :class:`ChannelTrace` (one per queue).
+        Optional sequence of ``n`` :class:`ChannelTrace` (one per queue);
+        each queue's length raises its trace's ``max_fill``, and the
+        queue's writes and reads are logged when the trace records
+        events.
     detection_log:
         Shared :class:`DetectionLog`; a fresh one is created if omitted.
     strict_single_fault:
@@ -239,7 +242,10 @@ class ReplicatorChannel:
         recovered counter ahead by the healthy backlog; that offset is
         transient bookkeeping, not divergence).  Occupancy-based
         detection stays armed throughout — a failed respawn fills the
-        queue and is re-detected.  Returns the number of flushed tokens.
+        queue and is re-detected.  The queue is the only record of its
+        occupancy, so the flush needs no trace bookkeeping: the trace
+        keeps its high-water mark, and later writes measure the emptied
+        queue.  Returns the number of flushed tokens.
         """
         self._check_replica(replica)
         flushed = len(self._queues[replica])
@@ -305,15 +311,9 @@ class ReplicatorChannel:
             if reads[1 - recovering] >= reads[recovering]:
                 self._recovering = None
         traces = self.traces
-        if traces is not None:
-            # Inlined ChannelTrace.on_read (as in Fifo); the method still
-            # records events and raises on an undeclared read.
-            trace = traces[index]
-            if trace.record_events or trace.fill <= 0:
-                trace.on_read(now, token[1], index)
-            else:
-                trace.fill -= 1
-                trace.reads += 1
+        if traces is not None and traces[index].record_events:
+            traces[index].events.append(
+                EventRecord(now, "read", token[1], index))
         divergence = abs(reads[0] - reads[1])
         rows = self._rows
         if rows is not None:
@@ -359,28 +359,19 @@ class ReplicatorChannel:
         if write_1:
             queue_1.append(entry)
             if traces is not None:
-                # Inlined ChannelTrace.on_write (see poll_read).
                 trace = traces[0]
+                if len(queue_1) > trace.max_fill:
+                    trace.max_fill = len(queue_1)
                 if trace.record_events:
-                    trace.on_write(now, token[1], 0)
-                else:
-                    fill = trace.fill + 1
-                    trace.fill = fill
-                    trace.writes += 1
-                    if fill > trace.max_fill:
-                        trace.max_fill = fill
+                    trace.events.append(EventRecord(now, "write", token[1], 0))
         if write_2:
             queue_2.append(entry)
             if traces is not None:
                 trace = traces[1]
+                if len(queue_2) > trace.max_fill:
+                    trace.max_fill = len(queue_2)
                 if trace.record_events:
-                    trace.on_write(now, token[1], 1)
-                else:
-                    fill = trace.fill + 1
-                    trace.fill = fill
-                    trace.writes += 1
-                    if fill > trace.max_fill:
-                        trace.max_fill = fill
+                    trace.events.append(EventRecord(now, "write", token[1], 1))
         self.writes += 1
         rows = self._rows
         if rows is not None:
@@ -412,8 +403,9 @@ class ReplicatorChannel:
         self.reads[index] += 1
         if self._recovering is not None and self._caught_up(self._recovering):
             self._recovering = None
-        if self.traces is not None:
-            self.traces[index].on_read(now, token[1], index)
+        if self.traces is not None and self.traces[index].record_events:
+            self.traces[index].events.append(
+                EventRecord(now, "read", token[1], index))
         if self._rows is not None:
             self._sample(now)
         if self.threshold is not None and self._recovering is None:
@@ -441,9 +433,14 @@ class ReplicatorChannel:
         delay = self._latency(token) if self._latency is not None else 0.0
         entry = (now + delay, token)
         for k in targets:
-            queues[k].append(entry)
+            queue = queues[k]
+            queue.append(entry)
             if self.traces is not None:
-                self.traces[k].on_write(now, token[1], k)
+                trace = self.traces[k]
+                if len(queue) > trace.max_fill:
+                    trace.max_fill = len(queue)
+                if trace.record_events:
+                    trace.events.append(EventRecord(now, "write", token[1], k))
         self.writes += 1
         if self._rows is not None:
             self._sample(now)

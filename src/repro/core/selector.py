@@ -55,7 +55,7 @@ from repro.kpn.errors import ProtocolError, SimulationError
 from repro.kpn.channel import ReadEndpoint, WriteEndpoint, wake_parked
 from repro.kpn.seriesrows import FOLD_SIZE
 from repro.kpn.tokens import Token
-from repro.kpn.trace import ChannelTrace
+from repro.kpn.trace import ChannelTrace, EventRecord
 
 
 class SelectorChannel:
@@ -75,8 +75,10 @@ class SelectorChannel:
         Optional ``f(token) -> ms`` communication latency for enqueued
         tokens.
     trace:
-        Optional :class:`ChannelTrace` recording queue events (interface
-        recorded per event so per-replica curves can be calibrated).
+        Optional :class:`ChannelTrace`; the physical FIFO's length raises
+        its ``max_fill``, and when it records events every enqueue, read
+        and drop is logged (interface recorded per event so per-replica
+        curves can be calibrated).
     detection_log:
         Shared log; fresh one if omitted.
     strict_single_fault:
@@ -155,10 +157,9 @@ class SelectorChannel:
             (0.0, token) for token in priming_tokens
         )
         self.priming = len(priming_tokens)
-        self.fill = self.priming
         self.space = [capacity - self.priming for capacity in capacities]
-        if trace is not None and self.priming:
-            trace.preset_fill(self.priming)
+        if trace is not None and self.priming > trace.max_fill:
+            trace.max_fill = self.priming
         self.fault = [False] * n
         #: ``any(fault)``, kept in step by every flag change.
         self._faulted = False
@@ -200,6 +201,11 @@ class SelectorChannel:
         """Number of replicas, ``len(capacities)``."""
         return len(self.capacities)
 
+    @property
+    def fill(self) -> int:
+        """``fill`` — tokens in the physical FIFO (including in flight)."""
+        return len(self._queue)
+
     # -- wiring -------------------------------------------------------------
 
     def bind(self, sim) -> None:
@@ -233,11 +239,11 @@ class SelectorChannel:
         rows = self._rows
         writes = self.writes
         gap = max(writes) - min(writes)
+        fill = len(self._queue)
         if self.threshold is None:
-            rows.extend((now, self.fill, *self.space, gap))
+            rows.extend((now, fill, *self.space, gap))
         else:
-            rows.extend((now, self.fill, *self.space, gap,
-                         self.threshold - gap))
+            rows.extend((now, fill, *self.space, gap, self.threshold - gap))
         if len(rows) >= FOLD_SIZE:
             rows.fold()
 
@@ -417,7 +423,6 @@ class SelectorChannel:
         if ready > now + 1e-12:
             return ("wait", ready)
         queue.popleft()
-        self.fill -= 1
         self.reads += 1
         fault = self.fault
         space = self.space
@@ -426,14 +431,8 @@ class SelectorChannel:
         if not fault[1]:
             space[1] += 1
         trace = self.trace
-        if trace is not None:
-            # Inlined ChannelTrace.on_read (as in Fifo); the method still
-            # records events and raises on an undeclared read.
-            if trace.record_events or trace.fill <= 0:
-                trace.on_read(now, token[1])
-            else:
-                trace.fill -= 1
-                trace.reads += 1
+        if trace is not None and trace.record_events:
+            trace.events.append(EventRecord(now, "read", token[1], 0))
         writes = self.writes
         gap = abs(writes[0] - writes[1])
         threshold = self.threshold
@@ -441,9 +440,9 @@ class SelectorChannel:
         if rows is not None:
             # Inlined _sample.
             if threshold is None:
-                rows.extend((now, self.fill, space[0], space[1], gap))
+                rows.extend((now, len(queue), space[0], space[1], gap))
             else:
-                rows.extend((now, self.fill, space[0], space[1], gap,
+                rows.extend((now, len(queue), space[0], space[1], gap,
                              threshold - gap))
             if len(rows) >= FOLD_SIZE:
                 rows.fold()
@@ -472,12 +471,8 @@ class SelectorChannel:
             # Isolation after detection: accept and discard, never block.
             self.drops[index] += 1
             trace = self.trace
-            if trace is not None:
-                # Inlined ChannelTrace.on_drop.
-                if trace.record_events:
-                    trace.on_drop(now, token[1], index)
-                else:
-                    trace.drops += 1
+            if trace is not None and trace.record_events:
+                trace.events.append(EventRecord(now, "drop", token[1], index))
             if self._recovering == index:
                 # The respawned generation raced ahead of the healthy
                 # backlog; its copy of this token is gone, so the
@@ -503,37 +498,30 @@ class SelectorChannel:
         space[index] -= 1
         writes = self.writes
         writes[index] += 1
+        queue = self._queue
         trace = self.trace
         if enqueue:
-            if self.fill >= self.fifo_size:
+            if len(queue) >= self.fifo_size:
                 raise SimulationError(
-                    f"{self.name}: physical FIFO overflow (fill={self.fill},"
+                    f"{self.name}: physical FIFO overflow (fill={len(queue)},"
                     f" |S|={self.fifo_size}) — sizing violated"
                 )
             delay = self._latency(token) if self._latency is not None else 0.0
-            self._queue.append((now + delay, token))
-            self.fill += 1
+            queue.append((now + delay, token))
             if trace is not None:
-                # Inlined ChannelTrace.on_write.
+                if len(queue) > trace.max_fill:
+                    trace.max_fill = len(queue)
                 if trace.record_events:
-                    trace.on_write(now, token[1], index)
-                else:
-                    fill = trace.fill + 1
-                    trace.fill = fill
-                    trace.writes += 1
-                    if fill > trace.max_fill:
-                        trace.max_fill = fill
+                    trace.events.append(
+                        EventRecord(now, "write", token[1], index))
             if self.verify_duplicates and not self._faulted:
                 self._pending_values[token[1]] = [token[0], self.n - 1]
             if self._parked_reader:
                 wake_parked(self._sim, self._parked_reader)
         else:
             self.drops[index] += 1
-            if trace is not None:
-                if trace.record_events:
-                    trace.on_drop(now, token[1], index)
-                else:
-                    trace.drops += 1
+            if trace is not None and trace.record_events:
+                trace.events.append(EventRecord(now, "drop", token[1], index))
             if self.verify_duplicates:
                 self._verify_pair(token[1], token[0], now, index)
         if self._recovering is not None and index != self._recovering:
@@ -545,9 +533,9 @@ class SelectorChannel:
             # Inlined _sample (after a completed recovery re-primed the
             # counters).
             if threshold is None:
-                rows.extend((now, self.fill, space[0], space[1], gap))
+                rows.extend((now, len(queue), space[0], space[1], gap))
             else:
-                rows.extend((now, self.fill, space[0], space[1], gap,
+                rows.extend((now, len(queue), space[0], space[1], gap,
                              threshold - gap))
             if len(rows) >= FOLD_SIZE:
                 rows.fold()
@@ -569,15 +557,14 @@ class SelectorChannel:
         if ready > now + 1e-12:
             return ("wait", ready)
         queue.popleft()
-        self.fill -= 1
         self.reads += 1
         fault = self.fault
         space = self.space
         for k in range(self.n):
             if not fault[k]:
                 space[k] += 1
-        if self.trace is not None:
-            self.trace.on_read(now, token[1])
+        if self.trace is not None and self.trace.record_events:
+            self.trace.events.append(EventRecord(now, "read", token[1], 0))
         if self._rows is not None:
             self._sample(now)
         if self.stall_detection:
@@ -600,8 +587,8 @@ class SelectorChannel:
         if fault[index]:
             # Isolation after detection: accept and discard, never block.
             self.drops[index] += 1
-            if trace is not None:
-                trace.on_drop(now, token[1], index)
+            if trace is not None and trace.record_events:
+                trace.events.append(EventRecord(now, "drop", token[1], index))
             if self._recovering == index:
                 self._handover += 1
             return ("ok", None)
@@ -618,25 +605,29 @@ class SelectorChannel:
         )
         space[index] -= 1
         self.writes[index] += 1
+        queue = self._queue
         if enqueue:
-            if self.fill >= self.fifo_size:
+            if len(queue) >= self.fifo_size:
                 raise SimulationError(
-                    f"{self.name}: physical FIFO overflow (fill={self.fill},"
+                    f"{self.name}: physical FIFO overflow (fill={len(queue)},"
                     f" |S|={self.fifo_size}) — sizing violated"
                 )
             delay = self._latency(token) if self._latency is not None else 0.0
-            self._queue.append((now + delay, token))
-            self.fill += 1
+            queue.append((now + delay, token))
             if trace is not None:
-                trace.on_write(now, token[1], index)
+                if len(queue) > trace.max_fill:
+                    trace.max_fill = len(queue)
+                if trace.record_events:
+                    trace.events.append(
+                        EventRecord(now, "write", token[1], index))
             if self.verify_duplicates and not self._faulted:
                 self._pending_values[token[1]] = [token[0], self.n - 1]
             if self._parked_reader:
                 wake_parked(self._sim, self._parked_reader)
         else:
             self.drops[index] += 1
-            if trace is not None:
-                trace.on_drop(now, token[1], index)
+            if trace is not None and trace.record_events:
+                trace.events.append(EventRecord(now, "drop", token[1], index))
             if self.verify_duplicates:
                 self._verify_pair(token[1], token[0], now, index)
         if self._recovering is not None and index != self._recovering:

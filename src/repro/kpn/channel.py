@@ -95,7 +95,9 @@ class Fifo:
         only becomes readable ``delay`` after the write instant, but it
         occupies FIFO space immediately (back-pressure is conservative).
     trace:
-        Optional :class:`~repro.kpn.trace.ChannelTrace` to record events.
+        Optional :class:`~repro.kpn.trace.ChannelTrace`; the channel raises
+        its ``max_fill`` from the queue length and, when it records
+        events, logs every committed read and write.
     initial_tokens:
         Tokens pre-filling the queue at time zero (the ``F_{C,0}`` /
         ``|S_k|_0`` priming of Eq. 4).
@@ -127,8 +129,8 @@ class Fifo:
         #: ``(ready, token)`` pairs; ``ready`` is the write instant plus
         #: the transfer latency (the write instant without one).
         self._queue: Deque = deque((0.0, token) for token in initial_tokens)
-        if trace is not None and initial_tokens:
-            trace.preset_fill(len(initial_tokens))
+        if trace is not None and len(self._queue) > trace.max_fill:
+            trace.max_fill = len(self._queue)
         #: Fill samples ``time, fill``, or ``None`` without an enabled
         #: registry.
         self._rows = (
@@ -182,16 +184,9 @@ class Fifo:
             return ("wait", ready)
         queue.popleft()
         trace = self.trace
-        if trace is not None:
-            # Inlined ChannelTrace.on_read: one committed read per token
-            # on the engine's hottest path; the call overhead is
-            # measurable.  Token is a tuple — index 1 is ``seqno``.
-            if trace.fill <= 0:
-                trace.on_read(now, token[1])  # raises TraceError
-            trace.fill -= 1
-            trace.reads += 1
-            if trace.record_events:
-                trace.events.append(EventRecord(now, "read", token[1], 0))
+        if trace is not None and trace.record_events:
+            # Token is a tuple — index 1 is ``seqno``.
+            trace.events.append(EventRecord(now, "read", token[1], 0))
         rows = self._rows
         if rows is not None:
             rows.extend((now, len(queue)))
@@ -213,12 +208,8 @@ class Fifo:
         )
         trace = self.trace
         if trace is not None:
-            # Inlined ChannelTrace.on_write (see poll_read).
-            fill = trace.fill + 1
-            trace.fill = fill
-            trace.writes += 1
-            if fill > trace.max_fill:
-                trace.max_fill = fill
+            if len(queue) > trace.max_fill:
+                trace.max_fill = len(queue)
             if trace.record_events:
                 trace.events.append(EventRecord(now, "write", token[1], 0))
         rows = self._rows

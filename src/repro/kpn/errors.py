@@ -11,11 +11,6 @@ class SimulationError(KpnError):
     """An invariant of the simulation engine was violated."""
 
 
-class TraceError(KpnError):
-    """Channel trace bookkeeping went inconsistent (e.g. a read recorded
-    against an empty queue), indicating mis-wired instrumentation."""
-
-
 class ProtocolError(KpnError):
     """A process or channel broke the KPN protocol (e.g. a second reader
     attached to a single-reader FIFO, or an unknown operation yielded)."""

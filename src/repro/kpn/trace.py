@@ -1,23 +1,26 @@
-"""Instrumentation: token event traces and fill statistics.
+"""Instrumentation: token event logs and the fill high-water mark.
 
 Two consumers of this data exist in the library:
 
 * calibration (Eq. 2) needs the raw timestamps at which tokens crossed an
-  interface (:func:`repro.rtc.calibration.empirical_curves` /
-  :func:`~repro.rtc.calibration.fit_pjd`);
+  interface (:func:`repro.kpn.tracefile.channel_timestamps` filters them
+  out of a trace for :func:`repro.rtc.calibration.fit_pjd`);
 * the Table 2 rows "Max. Observed Fill" need the running maximum occupancy
   of every FIFO.
 
-Recording full timestamp lists is optional (``record_events=False`` keeps
-only counters and the fill maximum) so paper-scale runs stay light.
+The channels own their occupancy: a trace holds only what a channel
+forgets, the event log and the high-water mark ``max_fill``.  The channel
+raises ``max_fill`` from its own queue length on every enqueue (and from
+its priming tokens at construction), so a queue flushed by a recovery
+countermeasure is measured as it really is.  Recording the event log is
+optional (``record_events=False`` keeps only the fill maximum) so
+paper-scale runs stay light.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
-
-from repro.kpn.errors import TraceError
+from typing import Dict, List
 
 
 @dataclass(slots=True)
@@ -31,89 +34,24 @@ class EventRecord:
 
 
 class ChannelTrace:
-    """Per-channel occupancy and event bookkeeping.
+    """The event log and fill high-water mark of one channel queue.
 
-    ``fill`` tracks the number of queued tokens; ``max_fill`` its running
-    maximum — the quantity Table 2 compares against the theoretical
-    capacity.  When ``record_events`` is set, full event lists are kept for
-    curve calibration.
+    ``max_fill`` is the largest occupancy the owning channel's queue ever
+    reached — the quantity Table 2 compares against the theoretical
+    capacity.  When ``record_events`` is set, the channel also appends one
+    :class:`EventRecord` per committed write, read and drop, for curve
+    calibration.
 
-    Slotted: the engine updates these counters inline on every committed
-    read and write, so slot access (vs ``__dict__`` lookups) is measurable
-    at paper scale.
+    Slotted: the channels touch it on every committed write.
     """
 
-    __slots__ = (
-        "name", "record_events", "fill", "max_fill",
-        "writes", "reads", "drops", "events",
-    )
+    __slots__ = ("name", "record_events", "max_fill", "events")
 
     def __init__(self, name: str, record_events: bool = False) -> None:
         self.name = name
         self.record_events = record_events
-        self.fill = 0
         self.max_fill = 0
-        self.writes = 0
-        self.reads = 0
-        self.drops = 0
         self.events: List[EventRecord] = []
-
-    def on_write(self, time: float, seqno: int, interface: int = 0) -> None:
-        """Record a token entering the queue."""
-        self.fill += 1
-        self.writes += 1
-        if self.fill > self.max_fill:
-            self.max_fill = self.fill
-        if self.record_events:
-            self.events.append(EventRecord(time, "write", seqno, interface))
-
-    def on_read(self, time: float, seqno: int, interface: int = 0) -> None:
-        """Record a token leaving the queue.
-
-        A read against a zero-fill trace means the caller's accounting is
-        broken (a read committed without its write being traced, or
-        priming tokens not declared via :meth:`preset_fill`) — fail loudly
-        instead of going negative and corrupting ``max_fill`` forever.
-        """
-        if self.fill <= 0:
-            raise TraceError(
-                f"channel {self.name!r}: read at t={time} (seqno {seqno}) "
-                f"recorded against fill {self.fill}"
-            )
-        self.fill -= 1
-        self.reads += 1
-        if self.record_events:
-            self.events.append(EventRecord(time, "read", seqno, interface))
-
-    def on_drop(self, time: float, seqno: int, interface: int = 0) -> None:
-        """Record a token discarded without being queued (selector rule 3)."""
-        self.drops += 1
-        if self.record_events:
-            self.events.append(EventRecord(time, "drop", seqno, interface))
-
-    def preset_fill(self, amount: int) -> None:
-        """Account for initial (priming) tokens placed before time zero."""
-        self.fill += amount
-        if self.fill > self.max_fill:
-            self.max_fill = self.fill
-
-    def write_times(self, interface: Optional[int] = None) -> List[float]:
-        """Timestamps of write events (optionally for one interface)."""
-        return [
-            e.time
-            for e in self.events
-            if e.kind == "write"
-            and (interface is None or e.interface == interface)
-        ]
-
-    def read_times(self, interface: Optional[int] = None) -> List[float]:
-        """Timestamps of read events (optionally for one interface)."""
-        return [
-            e.time
-            for e in self.events
-            if e.kind == "read"
-            and (interface is None or e.interface == interface)
-        ]
 
 
 class TraceRecorder:

@@ -47,13 +47,8 @@ def save_recorder(recorder: TraceRecorder, path: str) -> None:
 
 
 def load_recorder(path: str) -> TraceRecorder:
-    """Load traces saved by :func:`save_recorder`.
-
-    The ``writes`` / ``reads`` / ``drops`` counters are not serialised
-    (the format stores only the event lists) — they are re-derived here by
-    counting event kinds, so a loaded recorder answers the same counter
-    queries as the live one it was saved from.
-    """
+    """Load traces saved by :func:`save_recorder`: each channel's
+    ``max_fill`` and event list, exactly as saved."""
     with open(path) as handle:
         data = json.load(handle)
     if data.get("version") != FORMAT_VERSION:
@@ -75,13 +70,6 @@ def load_recorder(path: str) -> TraceRecorder:
                     interface=event["interface"],
                 )
             )
-        for event in trace.events:
-            if event.kind == "write":
-                trace.writes += 1
-            elif event.kind == "read":
-                trace.reads += 1
-            elif event.kind == "drop":
-                trace.drops += 1
     return recorder
 
 

@@ -13,22 +13,24 @@ the chunking behaviour of the MPB path.  It also provides the
 low-contention mapping strategy of the paper's reference [13] (one process
 per tile, placed to minimise route overlap at the mesh routers) and the
 boot-time clock synchronisation that makes cross-core timestamps
-comparable.
+comparable.  The re-exports load their submodule on first use, so the
+recovery path's respawn placement loads only the mapper and the mesh it
+routes on, not the chip, MPB, contention or RCCE models.
 """
 
-from repro.scc.geometry import Core, Tile, TOPOLOGY, Topology
-from repro.scc.clock import ClockDomain, TscClock, synchronize
-from repro.scc.mesh import Mesh, Route
-from repro.scc.mpb import MpbModel
-from repro.scc.chip import SccChip, SccConfig
-from repro.scc.mapping import (
-    Mapping,
-    low_contention_mapping,
-    place_respawn,
-    route_overlap,
-)
-from repro.scc.contention import ContentionModel, LinkState
-from repro.scc.rcce import RcceComm
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    **dict.fromkeys(["Core", "Tile", "TOPOLOGY", "Topology"], "geometry"),
+    **dict.fromkeys(["ClockDomain", "TscClock", "synchronize"], "clock"),
+    **dict.fromkeys(["Mesh", "Route"], "mesh"),
+    "MpbModel": "mpb",
+    **dict.fromkeys(["SccChip", "SccConfig"], "chip"),
+    **dict.fromkeys(["Mapping", "low_contention_mapping", "place_respawn",
+                     "route_overlap"], "mapping"),
+    **dict.fromkeys(["ContentionModel", "LinkState"], "contention"),
+    "RcceComm": "rcce",
+})
 
 __all__ = [
     "Core",

@@ -191,12 +191,38 @@ class TestAccounting:
         assert (rep.ops, rep.op_calls) == (5, 3)
 
     def test_traces_per_queue(self):
-        traces = (ChannelTrace("r.0"), ChannelTrace("r.1"))
+        traces = (ChannelTrace("r.0", record_events=True),
+                  ChannelTrace("r.1", record_events=True))
         rep = ReplicatorChannel("rep", (2, 2), traces=traces)
         rep.poll_write(0, tok(1), 0.0)
         rep.poll_read(1, 0.0)
-        assert traces[0].writes == 1 and traces[0].reads == 0
-        assert traces[1].writes == 1 and traces[1].reads == 1
+        assert [e.kind for e in traces[0].events] == ["write"]
+        assert [e.kind for e in traces[1].events] == ["write", "read"]
+        assert [t.max_fill for t in traces] == [1, 1]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_reprime_keeps_max_fill_within_capacity(self, n):
+        """The re-prime flush empties the last queue; refilled to its
+        capacity, the queue's trace must not count the flushed tokens."""
+        traces = tuple(ChannelTrace(f"r.{k}") for k in range(n))
+        rep = ReplicatorChannel("rep", (2,) * n, traces=traces)
+        last = n - 1
+        seqnos = iter(range(1, 5))
+
+        def write_two():
+            for _ in range(2):
+                seqno = next(seqnos)
+                assert rep.poll_write(0, tok(seqno), float(seqno))[0] == "ok"
+                for k in range(last):  # the healthy replicas keep up
+                    rep.poll_read(k, float(seqno))
+
+        write_two()
+        assert rep.fill(last) == rep.capacities[last]
+        assert rep.reprime(last) == 2
+        write_two()
+        assert rep.fill(last) == rep.capacities[last]
+        assert not rep.any_fault
+        assert [t.max_fill for t in traces] == [1] * last + [2]
 
     def test_shared_detection_log(self):
         log = DetectionLog()

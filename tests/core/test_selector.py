@@ -291,8 +291,9 @@ class TestAccounting:
         sel = SelectorChannel("sel", (4, 4), trace=trace)
         sel.poll_write(0, tok(1), 0.0)
         sel.poll_write(1, tok(1), 1.0)
-        assert trace.writes == 1
-        assert trace.drops == 1
+        assert [(e.kind, e.interface) for e in trace.events] == [
+            ("write", 0), ("drop", 1)]
+        assert trace.max_fill == 1
 
     def test_repr(self, selector):
         assert "sel" in repr(selector)

@@ -6,7 +6,8 @@ bodies and install general bodies (``_poll_read_n``/``_poll_write_n``)
 for ``n > 2``.  The general bodies are the reference: installed on an
 ``n = 2`` channel, every random schedule of writes, reads, quarantines
 and recoveries must give identical poll results, fault flags, detection
-log entries, counters, op accounting, trace counters and metric series.
+log entries, counters, op accounting, trace high-water marks and event
+logs, and metric series.
 """
 
 from hypothesis import given, settings
@@ -31,8 +32,7 @@ def series(registry):
 
 
 def trace_counters(trace):
-    return (trace.fill, trace.max_fill, trace.writes, trace.reads,
-            trace.drops)
+    return (trace.max_fill, list(trace.events))
 
 
 @st.composite
@@ -43,6 +43,7 @@ def channel_config(draw):
                                                st.integers(1, 3))),
         "strict_single_fault": draw(st.booleans()),
         "transfer_latency": draw(st.sampled_from([None, 1.5])),
+        "record_events": draw(st.booleans()),
     }
 
 
@@ -96,7 +97,8 @@ def _log(channel):
 class _Replicator:
     def __init__(self, config):
         self.metrics = MetricsRegistry()
-        self.traces = (ChannelTrace("R1"), ChannelTrace("R2"))
+        self.traces = (ChannelTrace("R1", config["record_events"]),
+                       ChannelTrace("R2", config["record_events"]))
         latency = config["transfer_latency"]
         self.channel = ReplicatorChannel(
             "rep", config["capacities"],
@@ -135,7 +137,7 @@ class _Replicator:
 class _Selector:
     def __init__(self, config, verify, stall_detection):
         self.metrics = MetricsRegistry()
-        self.trace = ChannelTrace("S")
+        self.trace = ChannelTrace("S", config["record_events"])
         latency = config["transfer_latency"]
         capacities = config["capacities"]
         priming = min(capacities) // 2

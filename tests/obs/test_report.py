@@ -6,7 +6,7 @@ import pytest
 
 from repro.apps.synthetic import SyntheticApp
 from repro.experiments.runner import fault_time_for, run_duplicated
-from repro.faults.models import FAIL_STOP, FaultSpec
+from repro.faults.models import FAIL_STOP, RATE_DEGRADE, FaultSpec
 from repro.obs import (
     MetricsRegistry,
     Observability,
@@ -17,6 +17,7 @@ from repro.obs import (
 )
 from repro.obs.metrics import TimeSeries
 from repro.obs.report import series_peak
+from repro.recovery import RecoverySpec
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +32,24 @@ def faulted_report():
     run = run_duplicated(app, warmup + 30, 11, fault=fault,
                          sizing=sizing, obs=obs)
     return build_run_report(run, sizing, app.name, warmup + 30, 11,
+                            fault=fault)
+
+
+@pytest.fixture(scope="module")
+def recovered_report():
+    """A rate-degrade on replica 2, re-primed by the recovery
+    countermeasure: the flushed queue refills on the respawned replica."""
+    app = SyntheticApp(seed=3)
+    sizing = app.sizing()
+    warmup = 300
+    fault = FaultSpec(replica=1,
+                      time=fault_time_for(app, warmup, phase=0.4),
+                      kind=RATE_DEGRADE, slowdown=4.0)
+    run = run_duplicated(app, warmup + 200, 12, fault=fault,
+                         sizing=sizing, obs=Observability(),
+                         recovery=RecoverySpec())
+    assert run.recovery["completed"] == 1
+    return build_run_report(run, sizing, app.name, warmup + 200, 12,
                             fault=fault)
 
 
@@ -51,13 +70,16 @@ class TestBuildRunReport:
     def test_is_json_serialisable(self, faulted_report):
         json.dumps(faulted_report)
 
-    def test_framework_channels_use_sizing_capacities(self, faulted_report):
-        channels = {c["name"]: c for c in faulted_report["channels"]}
-        assert channels["replicator.R1"]["capacity"] >= 1
-        assert channels["selector.S"]["capacity"] >= 1
-        for chan in channels.values():
-            if chan["within_capacity"] is not None:
-                assert chan["max_fill"] <= chan["capacity"]
+    def test_framework_channels_use_sizing_capacities(self, faulted_report,
+                                                      recovered_report):
+        for report in (faulted_report, recovered_report):
+            channels = {c["name"]: c for c in report["channels"]}
+            assert channels["replicator.R1"]["capacity"] >= 1
+            assert channels["selector.S"]["capacity"] >= 1
+            for chan in channels.values():
+                if chan["within_capacity"] is not None:
+                    assert chan["within_capacity"] is True, chan
+                    assert chan["max_fill"] <= chan["capacity"]
 
     def test_divergence_headroom_is_fault_free(self, faulted_report):
         for entry in faulted_report["divergence"]:

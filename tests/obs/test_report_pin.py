@@ -51,8 +51,8 @@ RUNS = {
 #: Run name -> the SHA-256 digest of each part.
 PINS = {
     "fail-stop-r1": {
-        "report": ("829981e11cd3bdfa9b2d31eddc205c6f"
-                   "ea12bab1fdb12c2e4dfd92d5a91b2c37"),
+        "report": ("810ff33612510c63ee6a3bf49cffc122"
+                   "4baa77e57177ba38290f7ecacca72080"),
         "series": ("a01103e2a21dc9dce619361b8e0e5ae6"
                    "85dd350fe530d3ce07ff3d85437e2265"),
         "chrome": ("9935daf97f47b53e15c278ca1a7b808a"
@@ -61,8 +61,8 @@ PINS = {
                      "f141fc36a6575f71407d92b1164d4053"),
     },
     "rate-degrade-r2": {
-        "report": ("09c9df9d89157d078b150637959802e5"
-                   "af4e189e778ef88cc015abebd8f59dcc"),
+        "report": ("f19193929acb5811467b50f0c802eec3"
+                   "4c117ebc7f04ca91784894d92bbe7328"),
         "series": ("3cc2d66f6e7046823e608ef28814c246"
                    "30526369d99dd4da4196fc2942a20e46"),
         "chrome": ("ffd307a3cc3d214d5b005a42ffee0f1d"
@@ -71,8 +71,8 @@ PINS = {
                      "0d933f6b8844ce7c4492e5c2d749a6a6"),
     },
     "fail-stop-r1-decimated": {
-        "report": ("4e2528808c462267da4c3dbf8881ff19"
-                   "e2a33676a886876ee4d27487e247e1a4"),
+        "report": ("7e4c865dcdccfd3793a237e036e6cf8e"
+                   "a7205ce97174babb02b7c64c6f5637fc"),
         "series": ("f92f238408658b49ec9ebb2174212e91"
                    "deb41d51e5071572fcf91b04c3105a13"),
         "chrome": ("034f7afa83ef29ac05bbd273ae93ac6f"

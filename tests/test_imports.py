@@ -34,7 +34,7 @@ HEAVY = [
 
 #: The packages whose re-exports load their submodule on first use.
 LAZY_PACKAGES = ["repro.experiments", "repro.obs", "repro.exec",
-                 "repro.faults"]
+                 "repro.faults", "repro.scc"]
 
 
 def _run(script: str):
@@ -56,6 +56,31 @@ def test_single_run_imports_leave_heavy_subsystems_unloaded(imports):
               f"print(json.dumps([m for m in {HEAVY!r} "
               f"if m in sys.modules]))")
     assert _run(script) == []
+
+
+_RECOVERED_RUN = """
+import json, sys
+from repro.apps import SyntheticApp
+from repro.experiments.runner import fault_time_for, run_duplicated
+from repro.faults import FAIL_STOP, FaultSpec
+from repro.recovery import RecoverySpec
+app = SyntheticApp(seed=3)
+fault = FaultSpec(replica=0, time=fault_time_for(app, 40, phase=0.4),
+                  kind=FAIL_STOP)
+run = run_duplicated(app, 100, 5, fault=fault, sizing=app.sizing(),
+                     recovery=RecoverySpec())
+assert run.recovery["completed"] == 1, run.recovery
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("repro.scc"))))
+"""
+
+
+def test_recovery_loads_only_the_respawn_mapper_of_the_scc_model():
+    # Respawn placement needs the mapper and the mesh it routes on (whose
+    # router clock is a ClockDomain); the chip, MPB, contention and RCCE
+    # models stay unloaded.
+    assert _run(_RECOVERED_RUN) == [
+        "repro.scc", "repro.scc.clock", "repro.scc.geometry",
+        "repro.scc.mapping", "repro.scc.mesh"]
 
 
 _EXPORT_CHECK = """
