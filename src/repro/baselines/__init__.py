@@ -1,18 +1,11 @@
-"""Baseline fault-detection approaches the paper compares against.
+"""The baseline fault-detection approach the paper compares against.
 
-* :class:`~repro.baselines.distance.DistanceFunctionMonitor` — the
-  state-of-the-art comparison of Table 3: arrival-pattern monitoring with
-  l-repetitive distance functions (Neukirchner et al., RTSS 2012),
-  modified for the paper's fail-silent fault model and driven by a
-  polling timer (the paper uses a 1 ms poll);
-* :class:`~repro.baselines.watchdog.WatchdogMonitor` — the simple timeout
-  approach the introduction calls "too restrictive" for bursty streams;
-* :class:`~repro.baselines.heartbeat.HeartbeatMonitor` — strict-period
-  heartbeat monitoring, which false-positives on any jittered stream
-  (quantified by the ablation benchmarks).
-
-All baselines *require runtime timer support* (the polling loop), which is
-exactly the resource the paper's approach avoids.
+:class:`~repro.baselines.distance.DistanceFunctionMonitor` is the
+state-of-the-art comparison of Table 3: arrival-pattern monitoring with
+l-repetitive distance functions (Neukirchner et al., RTSS 2012), modified
+for the paper's fail-silent fault model and driven by a polling timer
+(the paper uses a 1 ms poll).  It *requires runtime timer support* (the
+polling loop), which is exactly the resource the paper's approach avoids.
 """
 
 from repro.baselines.monitor import MonitorDetection, PollingMonitor
@@ -21,8 +14,6 @@ from repro.baselines.distance import (
     DistanceFunctionMonitor,
     l_repetitive_bounds,
 )
-from repro.baselines.watchdog import WatchdogMonitor
-from repro.baselines.heartbeat import HeartbeatMonitor
 
 __all__ = [
     "MonitorDetection",
@@ -30,6 +21,4 @@ __all__ = [
     "DistanceBounds",
     "DistanceFunctionMonitor",
     "l_repetitive_bounds",
-    "WatchdogMonitor",
-    "HeartbeatMonitor",
 ]

@@ -19,7 +19,7 @@ polls every ``poll_interval`` and flags a stream faulty when the time
 since its most recent event exceeds ``d_max(1)`` (the next event is
 overdue) — detecting stopped or slowed replicas.  The symmetric over-rate
 check (more events in a window than ``d_min`` admits) is implemented too,
-for completeness and for the heartbeat/ablation studies.
+for completeness and for the ablation studies.
 """
 
 from __future__ import annotations

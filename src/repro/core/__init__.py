@@ -29,7 +29,6 @@ from repro.core.equivalence import (
     EquivalenceReport,
     check_equivalence,
     common_prefix_length,
-    earlier_is_acceptable,
     output_values_equal,
 )
 from repro.core.overhead import OverheadModel, OverheadReport
@@ -63,7 +62,6 @@ __all__ = [
     "build_reference",
     "EquivalenceReport",
     "check_equivalence",
-    "earlier_is_acceptable",
     "common_prefix_length",
     "output_values_equal",
     "OverheadModel",

@@ -36,24 +36,6 @@ def payload_equal(a: Any, b: Any) -> bool:
     return bool(a == b)
 
 
-def earlier_is_acceptable(reference_times: Sequence[float],
-                          candidate_times: Sequence[float],
-                          slack_ms: float = 0.0) -> bool:
-    """Eq. 1 of the paper as a runtime check.
-
-    If a timestamp sequence satisfies the consumer's requirements, the
-    same token sequence arriving *no later* (element-wise, up to
-    ``slack_ms``) also satisfies them.  Returns True iff
-    ``candidate[j] <= reference[j] + slack`` for every common index —
-    the sense in which the selector's earliest-of-pair merge can only
-    improve timing.
-    """
-    return all(
-        c <= r + slack_ms
-        for r, c in zip(reference_times, candidate_times)
-    )
-
-
 def common_prefix_length(a: Sequence[Any], b: Sequence[Any]) -> int:
     """Length of the longest common prefix of two payload sequences."""
     length = 0

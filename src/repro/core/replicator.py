@@ -89,11 +89,8 @@ class ReplicatorChannel:
     ``ops`` primitive counter updates over ``op_calls`` operations (1 per
     read poll, ``1 + n`` per write poll).
 
-    The class-level :meth:`poll_read`/:meth:`poll_write` are the paper's
-    two-replica bodies, straight-line for the engine's hot path; for
-    ``n > 2`` the constructor installs the general bodies
-    (:meth:`_poll_read_n`/:meth:`_poll_write_n`), which reduce to the same
-    rules at ``n = 2``.
+    One :meth:`poll_read` and one :meth:`poll_write`, defined on the
+    class, serve every ``n``; at ``n = 2`` they are the paper's rules.
     """
 
     def __init__(
@@ -117,6 +114,8 @@ class ReplicatorChannel:
         if traces is not None and len(traces) != n:
             raise ValueError("replicator needs one trace per queue")
         self.name = name
+        #: Number of replicas, ``len(capacities)``.
+        self.n = n
         self.capacities = tuple(capacities)
         self.threshold = divergence_threshold
         self._latency = transfer_latency
@@ -136,8 +135,8 @@ class ReplicatorChannel:
         )
         self._queues: Tuple[Deque, ...] = tuple(deque() for _ in range(n))
         self.fault = [False] * n
-        #: ``any(fault)``, kept in step by every flag change.
-        self._faulted = False
+        #: ``fault.count(False)``, kept in step by every flag change.
+        self._healthy = n
         self.reads = [0] * n
         self.writes = 0
         #: Interface under post-countermeasure catch-up (see
@@ -148,14 +147,6 @@ class ReplicatorChannel:
         self._parked_readers: Tuple[Deque, ...] = tuple(
             deque() for _ in range(n))
         self._parked_writers: Deque = deque()
-        if n > 2:
-            self.poll_read = self._poll_read_n  # type: ignore[method-assign]
-            self.poll_write = self._poll_write_n  # type: ignore[method-assign]
-
-    @property
-    def n(self) -> int:
-        """Number of replicas, ``len(capacities)``."""
-        return len(self.capacities)
 
     # -- wiring -------------------------------------------------------------
 
@@ -193,7 +184,7 @@ class ReplicatorChannel:
     @property
     def any_fault(self) -> bool:
         """True once any replica has been flagged."""
-        return self._faulted
+        return self._healthy < self.n
 
     # -- detection helpers ------------------------------------------------
 
@@ -205,9 +196,9 @@ class ReplicatorChannel:
         if self.fault[replica]:
             return
         self.fault[replica] = True
-        self._faulted = True
+        self._healthy -= 1
         self.log.record(now, "replicator", replica, mechanism, detail)
-        if self.strict_single_fault and all(self.fault):
+        if self.strict_single_fault and not self._healthy:
             raise SimulationError(
                 f"{self.name}: all {self.n} replicas flagged faulty — "
                 "fault assumption violated (or FIFO capacities under-sized)"
@@ -225,7 +216,7 @@ class ReplicatorChannel:
         """
         if not self.fault[replica]:
             self.fault[replica] = True
-            self._faulted = True
+            self._healthy -= 1
 
     # -- recovery -----------------------------------------------------------
 
@@ -252,7 +243,7 @@ class ReplicatorChannel:
         self._queues[replica].clear()
         self.reads[replica] = self.writes
         self.fault[replica] = False
-        self._faulted = any(self.fault)
+        self._healthy = self.fault.count(False)
         self._recovering = replica
         return flushed
 
@@ -266,34 +257,27 @@ class ReplicatorChannel:
 
     def _check_divergence(self, now: float) -> None:
         # Flags every healthy replica lagging the healthy front by more
-        # than D; needs two healthy replicas.  The two-replica body calls
-        # it once |reads_1 - reads_2| > D with no replica flagged and no
-        # recovery catching up.
+        # than D.  poll_read calls it only with two replicas healthy, no
+        # recovery catching up, and the spread over all the counters, a
+        # bound on every healthy lag, above D.
         reads = self.reads
         healthy = [k for k in range(self.n) if not self.fault[k]]
-        if len(healthy) < 2:
-            return
         front = max(reads[k] for k in healthy)
         detail = f"reads={'/'.join(map(str, reads))} D={self.threshold}"
         for k in healthy:
             if front - reads[k] > self.threshold:
                 self._flag(k, MECHANISM_DIVERGENCE, now, detail)
 
-    def _sample(self, now: float) -> None:
-        """Record ``space_1 .. space_n`` and the divergence (inlined in
-        the two-replica bodies)."""
-        rows = self._rows
-        reads = self.reads
-        rows.extend((now, *[capacity - len(queue) for capacity, queue
-                            in zip(self.capacities, self._queues)],
-                     max(reads) - min(reads)))
-        if len(rows) >= FOLD_SIZE:
-            rows.fold()
-
     # -- channel protocol (engine-facing) -----------------------------------
+    #
+    # One body per operation serves every n.  The loops run over the
+    # queues with a hand-kept index and write series rows with append,
+    # and the detection checks sit behind necessary conditions: at the
+    # paper's n = 2 a `range`, a comprehension or `max`/`min` costs more
+    # than the bookkeeping it serves.
 
     def poll_read(self, index: int, now: float):
-        if index not in (0, 1):
+        if not 0 <= index < self.n:
             raise ProtocolError(f"{self.name}: bad read interface {index}")
         self.ops += 1  # fill/space update of one queue
         self.op_calls += 1
@@ -306,27 +290,37 @@ class ReplicatorChannel:
         queue.popleft()
         reads = self.reads
         reads[index] += 1
-        if self._recovering is not None:
-            recovering = self._recovering
-            if reads[1 - recovering] >= reads[recovering]:
-                self._recovering = None
+        if self._recovering is not None and self._caught_up(self._recovering):
+            self._recovering = None
         traces = self.traces
         if traces is not None and traces[index].record_events:
             traces[index].events.append(
                 EventRecord(now, "read", token[1], index))
-        divergence = abs(reads[0] - reads[1])
         rows = self._rows
-        if rows is not None:
-            queues = self._queues
-            capacities = self.capacities
-            rows.extend((now, capacities[0] - len(queues[0]),
-                         capacities[1] - len(queues[1]), divergence))
-            if len(rows) >= FOLD_SIZE:
-                rows.fold()
         threshold = self.threshold
-        if (threshold is not None and divergence > threshold
-                and not self._faulted and self._recovering is None):
-            self._check_divergence(now)
+        if rows is not None or threshold is not None:
+            # The consumption spread max reads - min reads, in one pass.
+            low = high = reads[0]
+            for count in reads:
+                if count < low:
+                    low = count
+                elif count > high:
+                    high = count
+            spread = high - low
+            if rows is not None:
+                rows.append(now)
+                capacities = self.capacities
+                k = 0
+                for queue in self._queues:
+                    rows.append(capacities[k] - len(queue))
+                    k += 1
+                rows.append(spread)
+                if len(rows) >= FOLD_SIZE:
+                    rows.fold()
+            # The spread over all counters bounds every healthy lag.
+            if (threshold is not None and spread > threshold
+                    and self._healthy > 1 and self._recovering is None):
+                self._check_divergence(now)
         if self._parked_writers:
             wake_parked(self._sim, self._parked_writers)
         return ("ok", token)
@@ -334,119 +328,61 @@ class ReplicatorChannel:
     def poll_write(self, index: int, token: Token, now: float):
         if index != 0:
             raise ProtocolError(f"{self.name}: bad write interface {index}")
-        self.ops += 3  # two space checks + enqueue bookkeeping
+        self.ops += 1 + self.n  # n space checks + enqueue bookkeeping
         self.op_calls += 1
-        queue_1, queue_2 = self._queues
-        capacity_1, capacity_2 = self.capacities
         fault = self.fault
-        # Occupancy-based detection (Section 3.3): a full healthy queue at a
-        # write instant (space_k == 0) means that replica stopped (or
-        # slowed) consuming.
-        if not fault[0] and len(queue_1) == capacity_1:
-            self._flag(0, MECHANISM_OVERFLOW, now,
-                       f"space_1=0 at write of seq {token.seqno}")
-        if not fault[1] and len(queue_2) == capacity_2:
-            self._flag(1, MECHANISM_OVERFLOW, now,
-                       f"space_2=0 at write of seq {token.seqno}")
-        write_1 = not fault[0]
-        write_2 = not fault[1]
-        if not (write_1 or write_2):
-            # Only reachable with strict_single_fault=False.
-            return ("full", None)
-        delay = self._latency(token) if self._latency is not None else 0.0
-        entry = (now + delay, token)
+        capacities = self.capacities
         traces = self.traces
-        if write_1:
-            queue_1.append(entry)
-            if traces is not None:
-                trace = traces[0]
-                if len(queue_1) > trace.max_fill:
-                    trace.max_fill = len(queue_1)
-                if trace.record_events:
-                    trace.events.append(EventRecord(now, "write", token[1], 0))
-        if write_2:
-            queue_2.append(entry)
-            if traces is not None:
-                trace = traces[1]
-                if len(queue_2) > trace.max_fill:
-                    trace.max_fill = len(queue_2)
-                if trace.record_events:
-                    trace.events.append(EventRecord(now, "write", token[1], 1))
+        parked = self._parked_readers
+        entry = None
+        k = 0
+        for queue in self._queues:
+            if not fault[k]:
+                # Occupancy-based detection (Section 3.3): a full healthy
+                # queue at a write instant (space_k == 0) means that
+                # replica stopped (or slowed) consuming.
+                if len(queue) == capacities[k]:
+                    self._flag(
+                        k, MECHANISM_OVERFLOW, now,
+                        f"space_{k + 1}=0 at write of seq {token.seqno}")
+                else:
+                    if entry is None:
+                        delay = (self._latency(token)
+                                 if self._latency is not None else 0.0)
+                        entry = (now + delay, token)
+                    queue.append(entry)
+                    if traces is not None:
+                        trace = traces[k]
+                        if len(queue) > trace.max_fill:
+                            trace.max_fill = len(queue)
+                        if trace.record_events:
+                            trace.events.append(
+                                EventRecord(now, "write", token[1], k))
+                    if parked[k]:
+                        wake_parked(self._sim, parked[k])
+            k += 1
+        if entry is None:
+            # Every queue is flagged; only reachable with
+            # strict_single_fault=False.
+            return ("full", None)
         self.writes += 1
         rows = self._rows
         if rows is not None:
             reads = self.reads
-            rows.extend((now, capacity_1 - len(queue_1),
-                         capacity_2 - len(queue_2), abs(reads[0] - reads[1])))
+            low = high = reads[0]
+            for count in reads:
+                if count < low:
+                    low = count
+                elif count > high:
+                    high = count
+            rows.append(now)
+            k = 0
+            for queue in self._queues:
+                rows.append(capacities[k] - len(queue))
+                k += 1
+            rows.append(high - low)
             if len(rows) >= FOLD_SIZE:
                 rows.fold()
-        parked_1, parked_2 = self._parked_readers
-        if write_1 and parked_1:
-            wake_parked(self._sim, parked_1)
-        if write_2 and parked_2:
-            wake_parked(self._sim, parked_2)
-        return ("ok", None)
-
-    def _poll_read_n(self, index: int, now: float):
-        """:meth:`poll_read` for any ``n`` (installed for ``n > 2``)."""
-        if not 0 <= index < self.n:
-            raise ProtocolError(f"{self.name}: bad read interface {index}")
-        self.ops += 1
-        self.op_calls += 1
-        queue = self._queues[index]
-        if not queue:
-            return ("empty", None)
-        ready, token = queue[0]
-        if ready > now + 1e-12:
-            return ("wait", ready)
-        queue.popleft()
-        self.reads[index] += 1
-        if self._recovering is not None and self._caught_up(self._recovering):
-            self._recovering = None
-        if self.traces is not None and self.traces[index].record_events:
-            self.traces[index].events.append(
-                EventRecord(now, "read", token[1], index))
-        if self._rows is not None:
-            self._sample(now)
-        if self.threshold is not None and self._recovering is None:
-            self._check_divergence(now)
-        if self._parked_writers:
-            wake_parked(self._sim, self._parked_writers)
-        return ("ok", token)
-
-    def _poll_write_n(self, index: int, token: Token, now: float):
-        """:meth:`poll_write` for any ``n`` (installed for ``n > 2``)."""
-        if index != 0:
-            raise ProtocolError(f"{self.name}: bad write interface {index}")
-        self.ops += 1 + self.n  # n space checks + enqueue bookkeeping
-        self.op_calls += 1
-        queues = self._queues
-        fault = self.fault
-        for k, queue in enumerate(queues):
-            if not fault[k] and len(queue) == self.capacities[k]:
-                self._flag(k, MECHANISM_OVERFLOW, now,
-                           f"space_{k + 1}=0 at write of seq {token.seqno}")
-        targets = [k for k in range(self.n) if not fault[k]]
-        if not targets:
-            # Only reachable with strict_single_fault=False.
-            return ("full", None)
-        delay = self._latency(token) if self._latency is not None else 0.0
-        entry = (now + delay, token)
-        for k in targets:
-            queue = queues[k]
-            queue.append(entry)
-            if self.traces is not None:
-                trace = self.traces[k]
-                if len(queue) > trace.max_fill:
-                    trace.max_fill = len(queue)
-                if trace.record_events:
-                    trace.events.append(EventRecord(now, "write", token[1], k))
-        self.writes += 1
-        if self._rows is not None:
-            self._sample(now)
-        for k in targets:
-            if self._parked_readers[k]:
-                wake_parked(self._sim, self._parked_readers[k])
         return ("ok", None)
 
     def park_reader(self, index: int, handle) -> None:

@@ -104,11 +104,8 @@ class SelectorChannel:
     ``ops`` primitive counter updates over ``op_calls`` operations
     (``1 + n`` per read or write poll).
 
-    The class-level :meth:`poll_read`/:meth:`poll_write` are the paper's
-    two-replica bodies, straight-line for the engine's hot path; for
-    ``n > 2`` the constructor installs the general bodies
-    (:meth:`_poll_read_n`/:meth:`_poll_write_n`), which reduce to the same
-    rules at ``n = 2``.
+    One :meth:`poll_read` and one :meth:`poll_write`, defined on the
+    class, serve every ``n``; at ``n = 2`` they are the paper's rules.
     """
 
     def __init__(
@@ -137,6 +134,8 @@ class SelectorChannel:
                 "priming tokens exceed the smallest virtual capacity"
             )
         self.name = name
+        #: Number of replicas, ``len(capacities)``.
+        self.n = n
         self.capacities = tuple(capacities)
         self.threshold = divergence_threshold
         self._latency = transfer_latency
@@ -161,8 +160,8 @@ class SelectorChannel:
         if trace is not None and self.priming > trace.max_fill:
             trace.max_fill = self.priming
         self.fault = [False] * n
-        #: ``any(fault)``, kept in step by every flag change.
-        self._faulted = False
+        #: ``fault.count(False)``, kept in step by every flag change.
+        self._healthy = n
         self.writes = [0] * n
         self.drops = [0] * n
         self.reads = 0
@@ -192,14 +191,6 @@ class SelectorChannel:
         self._parked_reader: Deque = deque()
         self._parked_writers: Tuple[Deque, ...] = tuple(
             deque() for _ in range(n))
-        if n > 2:
-            self.poll_read = self._poll_read_n  # type: ignore[method-assign]
-            self.poll_write = self._poll_write_n  # type: ignore[method-assign]
-
-    @property
-    def n(self) -> int:
-        """Number of replicas, ``len(capacities)``."""
-        return len(self.capacities)
 
     @property
     def fill(self) -> int:
@@ -225,7 +216,7 @@ class SelectorChannel:
     @property
     def any_fault(self) -> bool:
         """True once any replica has been flagged."""
-        return self._faulted
+        return self._healthy < self.n
 
     # -- detection helpers ------------------------------------------------
 
@@ -234,8 +225,8 @@ class SelectorChannel:
             raise ValueError(f"replica index out of range: {replica}")
 
     def _sample(self, now: float) -> None:
-        """Record fill, spaces, divergence and headroom (inlined in the
-        two-replica bodies; recovery completion samples through here)."""
+        """Record fill, spaces, divergence and headroom at a completed
+        recovery (inlined in the polls)."""
         rows = self._rows
         writes = self.writes
         gap = max(writes) - min(writes)
@@ -251,10 +242,10 @@ class SelectorChannel:
         if self.fault[replica]:
             return
         self.fault[replica] = True
-        self._faulted = True
+        self._healthy -= 1
         self.log.record(now, "selector", replica, mechanism, detail)
         self._pending_values.clear()
-        if self.strict_single_fault and all(self.fault):
+        if self.strict_single_fault and not self._healthy:
             raise SimulationError(
                 f"{self.name}: all {self.n} replicas flagged faulty — fault "
                 "assumption violated (or capacities/threshold under-sized)"
@@ -272,7 +263,7 @@ class SelectorChannel:
         """
         if not self.fault[replica]:
             self.fault[replica] = True
-            self._faulted = True
+            self._healthy -= 1
             self._pending_values.clear()
             wake_parked(self._sim, self._parked_writers[replica])
 
@@ -282,7 +273,7 @@ class SelectorChannel:
         countermeasure the post-recovery-equivalence oracle must catch
         (``RecoverySpec(reprime=False)``)."""
         self.fault[replica] = False
-        self._faulted = any(self.fault)
+        self._healthy = self.fault.count(False)
 
     # -- recovery -----------------------------------------------------------
 
@@ -319,7 +310,7 @@ class SelectorChannel:
             raise ValueError("handover must be >= 0")
         if not self.fault[replica]:
             self.fault[replica] = True
-            self._faulted = True
+            self._healthy -= 1
             self._pending_values.clear()
         self._recovering = replica
         self._handover = handover
@@ -345,7 +336,7 @@ class SelectorChannel:
             - writes[recovering] + self.reads,
         )
         self.fault[recovering] = False
-        self._faulted = any(self.fault)
+        self._healthy = self.fault.count(False)
         self._recovering = None
         self._handover = 0
         if self._rows is not None:
@@ -362,13 +353,11 @@ class SelectorChannel:
         # the write counters directly keeps it correct for unequal
         # capacities too (|S_1| != |S_2| would otherwise bias the space
         # difference by the constant |S_1| - |S_2|).  Flags every healthy
-        # interface lagging the healthy front by more than D; needs two
-        # healthy interfaces.  The two-replica bodies call it once the
-        # gap exceeds D with no replica flagged.
+        # interface lagging the healthy front by more than D.  The polls
+        # call it only with two interfaces healthy and the spread over
+        # all the write counters, a bound on every healthy lag, above D.
         writes = self.writes
         healthy = [k for k in range(self.n) if not self.fault[k]]
-        if len(healthy) < 2:
-            return
         front = max(writes[k] for k in healthy)
         detail = f"writes={'/'.join(map(str, writes))} D={self.threshold}"
         for k in healthy:
@@ -410,142 +399,14 @@ class SelectorChannel:
             )
 
     # -- channel protocol (engine-facing) -----------------------------------
+    #
+    # One body per operation serves every n.  The loops run over the
+    # interfaces with a hand-kept index and write series rows with
+    # append, and the detection checks sit behind necessary conditions:
+    # at the paper's n = 2 a `range`, a comprehension or `max`/`min`
+    # costs more than the bookkeeping it serves.
 
     def poll_read(self, index: int, now: float):
-        if index != 0:
-            raise ProtocolError(f"{self.name}: bad read interface {index}")
-        self.ops += 3  # fill decrement + two space increments
-        self.op_calls += 1
-        queue = self._queue
-        if not queue:
-            return ("empty", None)
-        ready, token = queue[0]
-        if ready > now + 1e-12:
-            return ("wait", ready)
-        queue.popleft()
-        self.reads += 1
-        fault = self.fault
-        space = self.space
-        if not fault[0]:
-            space[0] += 1
-        if not fault[1]:
-            space[1] += 1
-        trace = self.trace
-        if trace is not None and trace.record_events:
-            trace.events.append(EventRecord(now, "read", token[1], 0))
-        writes = self.writes
-        gap = abs(writes[0] - writes[1])
-        threshold = self.threshold
-        rows = self._rows
-        if rows is not None:
-            # Inlined _sample.
-            if threshold is None:
-                rows.extend((now, len(queue), space[0], space[1], gap))
-            else:
-                rows.extend((now, len(queue), space[0], space[1], gap,
-                             threshold - gap))
-            if len(rows) >= FOLD_SIZE:
-                rows.fold()
-        if self.stall_detection and (
-            (not fault[0] and space[0] > self.capacities[0])
-            or (not fault[1] and space[1] > self.capacities[1])
-        ):
-            self._check_stall(now)
-        if (threshold is not None and not self._faulted
-                and gap > threshold):
-            self._check_divergence(now)
-        parked_1, parked_2 = self._parked_writers
-        if parked_1:
-            wake_parked(self._sim, parked_1)
-        if parked_2:
-            wake_parked(self._sim, parked_2)
-        return ("ok", token)
-
-    def poll_write(self, index: int, token: Token, now: float):
-        if index not in (0, 1):
-            raise ProtocolError(f"{self.name}: bad write interface {index}")
-        self.ops += 3  # space compare + space decrement + fill update
-        self.op_calls += 1
-        fault = self.fault
-        if fault[index]:
-            # Isolation after detection: accept and discard, never block.
-            self.drops[index] += 1
-            trace = self.trace
-            if trace is not None and trace.record_events:
-                trace.events.append(EventRecord(now, "drop", token[1], index))
-            if self._recovering == index:
-                # The respawned generation raced ahead of the healthy
-                # backlog; its copy of this token is gone, so the
-                # healthy interface now owes one more solo delivery.
-                self._handover += 1
-            return ("ok", None)
-        space = self.space
-        if space[index] == 0:
-            return ("full", None)
-        other = 1 - index
-        capacities = self.capacities
-        # Enqueue iff this interface provides the *first* token of the
-        # current duplicate pair.  The first-of-pair writer has a virtual
-        # fill (|S_k| - space_k) at least as large as the other interface's;
-        # the late writer's is strictly smaller.  For |S_1| == |S_2| this is
-        # exactly the paper's rule "enqueue iff space_k <= space_other";
-        # with unequal capacities the fill comparison removes the constant
-        # capacity bias.
-        enqueue = fault[other] or (
-            capacities[index] - space[index]
-            >= capacities[other] - space[other]
-        )
-        space[index] -= 1
-        writes = self.writes
-        writes[index] += 1
-        queue = self._queue
-        trace = self.trace
-        if enqueue:
-            if len(queue) >= self.fifo_size:
-                raise SimulationError(
-                    f"{self.name}: physical FIFO overflow (fill={len(queue)},"
-                    f" |S|={self.fifo_size}) — sizing violated"
-                )
-            delay = self._latency(token) if self._latency is not None else 0.0
-            queue.append((now + delay, token))
-            if trace is not None:
-                if len(queue) > trace.max_fill:
-                    trace.max_fill = len(queue)
-                if trace.record_events:
-                    trace.events.append(
-                        EventRecord(now, "write", token[1], index))
-            if self.verify_duplicates and not self._faulted:
-                self._pending_values[token[1]] = [token[0], self.n - 1]
-            if self._parked_reader:
-                wake_parked(self._sim, self._parked_reader)
-        else:
-            self.drops[index] += 1
-            if trace is not None and trace.record_events:
-                trace.events.append(EventRecord(now, "drop", token[1], index))
-            if self.verify_duplicates:
-                self._verify_pair(token[1], token[0], now, index)
-        if self._recovering is not None and index != self._recovering:
-            self._maybe_complete_recovery(now)
-        gap = abs(writes[0] - writes[1])
-        threshold = self.threshold
-        rows = self._rows
-        if rows is not None:
-            # Inlined _sample (after a completed recovery re-primed the
-            # counters).
-            if threshold is None:
-                rows.extend((now, len(queue), space[0], space[1], gap))
-            else:
-                rows.extend((now, len(queue), space[0], space[1], gap,
-                             threshold - gap))
-            if len(rows) >= FOLD_SIZE:
-                rows.fold()
-        if (threshold is not None and not self._faulted
-                and gap > threshold):
-            self._check_divergence(now)
-        return ("ok", None)
-
-    def _poll_read_n(self, index: int, now: float):
-        """:meth:`poll_read` for any ``n`` (installed for ``n > 2``)."""
         if index != 0:
             raise ProtocolError(f"{self.name}: bad read interface {index}")
         self.ops += 1 + self.n  # fill decrement + n space increments
@@ -558,26 +419,53 @@ class SelectorChannel:
             return ("wait", ready)
         queue.popleft()
         self.reads += 1
-        fault = self.fault
         space = self.space
-        for k in range(self.n):
-            if not fault[k]:
-                space[k] += 1
-        if self.trace is not None and self.trace.record_events:
-            self.trace.events.append(EventRecord(now, "read", token[1], 0))
-        if self._rows is not None:
-            self._sample(now)
-        if self.stall_detection:
+        capacities = self.capacities
+        stalled = False
+        k = 0
+        for flagged in self.fault:
+            if not flagged:
+                level = space[k] + 1
+                space[k] = level
+                if level > capacities[k]:
+                    stalled = True
+            k += 1
+        trace = self.trace
+        if trace is not None and trace.record_events:
+            trace.events.append(EventRecord(now, "read", token[1], 0))
+        rows = self._rows
+        threshold = self.threshold
+        if rows is not None or threshold is not None:
+            # The output spread max writes - min writes, in one pass.
+            writes = self.writes
+            low = high = writes[0]
+            for count in writes:
+                if count < low:
+                    low = count
+                elif count > high:
+                    high = count
+            spread = high - low
+            if rows is not None:
+                rows.append(now)
+                rows.append(len(queue))
+                rows.extend(space)
+                rows.append(spread)
+                if threshold is not None:
+                    rows.append(threshold - spread)
+                if len(rows) >= FOLD_SIZE:
+                    rows.fold()
+        if stalled and self.stall_detection:
             self._check_stall(now)
-        if self.threshold is not None:
+        # The spread over all counters bounds every healthy lag.
+        if (threshold is not None and spread > threshold
+                and self._healthy > 1):
             self._check_divergence(now)
         for parked in self._parked_writers:
             if parked:
                 wake_parked(self._sim, parked)
         return ("ok", token)
 
-    def _poll_write_n(self, index: int, token: Token, now: float):
-        """:meth:`poll_write` for any ``n`` (installed for ``n > 2``)."""
+    def poll_write(self, index: int, token: Token, now: float):
         if not 0 <= index < self.n:
             raise ProtocolError(f"{self.name}: bad write interface {index}")
         self.ops += 1 + self.n  # n space compares + fill update
@@ -590,21 +478,33 @@ class SelectorChannel:
             if trace is not None and trace.record_events:
                 trace.events.append(EventRecord(now, "drop", token[1], index))
             if self._recovering == index:
+                # The respawned generation raced ahead of the healthy
+                # backlog; its copy of this token is gone, so the
+                # healthy interfaces now owe one more solo delivery.
                 self._handover += 1
             return ("ok", None)
         space = self.space
         if space[index] == 0:
             return ("full", None)
         capacities = self.capacities
-        # First of its group: a virtual fill at least that of every other
-        # healthy interface (the two-replica rule of poll_write).
+        # Enqueue iff this interface provides the *first* token of the
+        # current group: its virtual fill (|S_k| - space_k) is at least
+        # every other healthy interface's, while a late writer's is
+        # strictly smaller than the first writer's.  For equal capacities
+        # this is exactly the paper's rule "enqueue iff space_k <=
+        # space_i"; with unequal capacities the fill comparison removes
+        # the constant capacity bias.
         own_fill = capacities[index] - space[index]
-        enqueue = all(
-            fault[k] or own_fill >= capacities[k] - space[k]
-            for k in range(self.n) if k != index
-        )
+        enqueue = True
+        k = 0
+        for flagged in fault:
+            if not flagged and capacities[k] - space[k] > own_fill:
+                enqueue = False
+                break
+            k += 1
         space[index] -= 1
-        self.writes[index] += 1
+        writes = self.writes
+        writes[index] += 1
         queue = self._queue
         if enqueue:
             if len(queue) >= self.fifo_size:
@@ -620,7 +520,7 @@ class SelectorChannel:
                 if trace.record_events:
                     trace.events.append(
                         EventRecord(now, "write", token[1], index))
-            if self.verify_duplicates and not self._faulted:
+            if self.verify_duplicates and self._healthy == self.n:
                 self._pending_values[token[1]] = [token[0], self.n - 1]
             if self._parked_reader:
                 wake_parked(self._sim, self._parked_reader)
@@ -632,10 +532,29 @@ class SelectorChannel:
                 self._verify_pair(token[1], token[0], now, index)
         if self._recovering is not None and index != self._recovering:
             self._maybe_complete_recovery(now)
-        if self._rows is not None:
-            self._sample(now)
-        if self.threshold is not None:
-            self._check_divergence(now)
+        rows = self._rows
+        threshold = self.threshold
+        if rows is not None or threshold is not None:
+            # After a completed recovery re-primed the counters.
+            low = high = writes[0]
+            for count in writes:
+                if count < low:
+                    low = count
+                elif count > high:
+                    high = count
+            spread = high - low
+            if rows is not None:
+                rows.append(now)
+                rows.append(len(queue))
+                rows.extend(space)
+                rows.append(spread)
+                if threshold is not None:
+                    rows.append(threshold - spread)
+                if len(rows) >= FOLD_SIZE:
+                    rows.fold()
+            if (threshold is not None and spread > threshold
+                    and self._healthy > 1):
+                self._check_divergence(now)
         return ("ok", None)
 
     def park_reader(self, index: int, handle) -> None:

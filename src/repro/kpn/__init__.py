@@ -19,12 +19,7 @@ a deterministic discrete-event simulation:
   (Eq. 2) and for the observed-fill rows of Table 2.
 """
 
-from repro.kpn.errors import (
-    DeadlockError,
-    KpnError,
-    ProtocolError,
-    SimulationError,
-)
+from repro.kpn.errors import KpnError, ProtocolError, SimulationError
 from repro.kpn.operations import Delay, Halt, Operation, Read, Write
 from repro.kpn.tokens import Token
 from repro.kpn.channel import Fifo, ReadEndpoint, WriteEndpoint
@@ -42,7 +37,6 @@ from repro.kpn.simulator import ProcessHandle, ProcessState, Simulator
 from repro.kpn.trace import ChannelTrace, EventRecord, TraceRecorder
 
 __all__ = [
-    "DeadlockError",
     "KpnError",
     "ProtocolError",
     "SimulationError",

@@ -83,6 +83,10 @@ class PJD:
     min_distance: float = 0.0
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite,
+                       (self.period, self.jitter, self.min_distance))):
+            raise ValueError(
+                f"parameters must be finite, got {self.as_tuple()}")
         if self.period <= 0:
             raise ValueError(f"period must be > 0, got {self.period}")
         if self.jitter < 0:

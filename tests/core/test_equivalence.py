@@ -79,21 +79,3 @@ class TestCheckEquivalence:
             reference_stalls=2, duplicated_stalls=2,
         )
         assert report.equivalent
-
-
-class TestEarlierIsAcceptable:
-    def test_equal_times_acceptable(self):
-        from repro.core.equivalence import earlier_is_acceptable
-        assert earlier_is_acceptable([1.0, 2.0], [1.0, 2.0])
-
-    def test_strictly_earlier_acceptable(self):
-        from repro.core.equivalence import earlier_is_acceptable
-        assert earlier_is_acceptable([10.0, 20.0], [9.0, 18.0])
-
-    def test_later_rejected(self):
-        from repro.core.equivalence import earlier_is_acceptable
-        assert not earlier_is_acceptable([10.0, 20.0], [10.0, 21.0])
-
-    def test_slack_tolerates_overhead(self):
-        from repro.core.equivalence import earlier_is_acceptable
-        assert earlier_is_acceptable([10.0], [10.4], slack_ms=0.5)

@@ -1,4 +1,4 @@
-"""The replicator's circular-buffer storage (Section 3.1) and its two bodies.
+"""The replicator's circular-buffer storage (Section 3.1).
 
 Section 3.1: "More efficient implementations utilizing circular FIFO
 buffers with two readers are possible".  :class:`ReplicatorChannel`
@@ -7,9 +7,9 @@ the queues, so its distinct stored entries — what a circular buffer with
 one cursor per replica holds — never exceed ``max_k |R_k|`` while every
 replica is healthy.  A condemned replica's leftovers stay queued.
 
-The fixed schedules below also check the class-level two-replica bodies
-against the general bodies (``tests/core/test_two_replica_bodies.py``
-draws random schedules).
+The fixed schedules below also check the polls against the reference
+model of ``tests/core/test_poll_reference.py`` (which draws random
+schedules), including one in which a replica never reads.
 """
 
 import pytest
@@ -17,19 +17,20 @@ import pytest
 from repro.core.replicator import ReplicatorChannel
 from repro.kpn.errors import ProtocolError
 from repro.kpn.tokens import Token
-from tests.helpers import general_bodies
+from tests.core.test_poll_reference import install_reference
 
 
 def tok(seqno):
     return Token(value=seqno * 3, seqno=seqno, stamp=0.0)
 
 
-def both(capacities=(2, 3), **kwargs):
-    """The same replicator with its two-replica and its general bodies."""
+def with_reference(capacities=(2, 3), **kwargs):
+    """The same replicator, once as it is and once on the reference
+    model's polls."""
     kwargs.setdefault("strict_single_fault", False)
     return (
-        ReplicatorChannel("two-replica", capacities, **kwargs),
-        general_bodies(ReplicatorChannel("general", capacities, **kwargs)),
+        ReplicatorChannel("rep", capacities, **kwargs),
+        install_reference(ReplicatorChannel("rep", capacities, **kwargs)),
     )
 
 
@@ -66,25 +67,24 @@ DIFFERENTIAL_SCHEDULES = [
 class TestDifferentialEquivalence:
     @pytest.mark.parametrize("steps", DIFFERENTIAL_SCHEDULES)
     def test_same_observable_outcomes(self, steps):
-        two_replica, reference = both()
-        assert drive(two_replica, list(steps)) == drive(reference,
-                                                        list(steps))
+        channel, reference = with_reference()
+        assert drive(channel, list(steps)) == drive(reference, list(steps))
 
     @pytest.mark.parametrize("steps", DIFFERENTIAL_SCHEDULES)
     def test_same_fault_verdicts(self, steps):
-        two_replica, reference = both()
-        drive(two_replica, list(steps))
+        channel, reference = with_reference()
+        drive(channel, list(steps))
         drive(reference, list(steps))
-        assert two_replica.fault == reference.fault
-        assert [(r.replica, r.mechanism, r.detail) for r in two_replica.log] \
+        assert channel.fault == reference.fault
+        assert [(r.replica, r.mechanism, r.detail) for r in channel.log] \
             == [(r.replica, r.mechanism, r.detail) for r in reference.log]
 
     def test_divergence_detection_matches(self):
-        two_replica, reference = both((10, 10), divergence_threshold=2)
+        channel, reference = with_reference((10, 10), divergence_threshold=2)
         steps = ["w", "r0"] * 4
-        drive(two_replica, list(steps))
+        drive(channel, list(steps))
         drive(reference, list(steps))
-        assert two_replica.fault == reference.fault == [False, True]
+        assert channel.fault == reference.fault == [False, True]
         assert reference.log.first().detail == "reads=3/0 D=2"
 
 
@@ -137,23 +137,23 @@ class TestRingSpecifics:
         assert seqnos == [1, 2]
 
     def test_transfer_latency(self):
-        for rep in both((2, 2), transfer_latency=lambda t: 5.0):
-            rep.poll_write(0, tok(1), 0.0)
-            status, ready = rep.poll_read(0, 1.0)
-            assert status == "wait" and ready == pytest.approx(5.0)
+        rep = ReplicatorChannel("rep", (2, 2), transfer_latency=lambda t: 5.0)
+        rep.poll_write(0, tok(1), 0.0)
+        status, ready = rep.poll_read(0, 1.0)
+        assert status == "wait" and ready == pytest.approx(5.0)
 
     def test_bad_interfaces(self):
-        for rep in both((2, 2)):
-            with pytest.raises(ProtocolError):
-                rep.poll_read(2, 0.0)
-            with pytest.raises(ProtocolError):
-                rep.poll_write(1, tok(1), 0.0)
+        rep = ReplicatorChannel("rep", (2, 2))
+        with pytest.raises(ProtocolError):
+            rep.poll_read(2, 0.0)
+        with pytest.raises(ProtocolError):
+            rep.poll_write(1, tok(1), 0.0)
 
 
 class TestRingInNetwork:
     def test_drop_in_for_duplicated_network(self):
-        """The general bodies slot into a full duplicated-network run and
-        deliver what the two-replica bodies deliver."""
+        """The reference model's polls slot into a full duplicated-network
+        run and deliver what the channels' own polls deliver."""
         from tests.helpers import synthetic_blueprint, synthetic_sizing
         from repro.core.duplicate import build_duplicated
 
@@ -163,8 +163,8 @@ class TestRingInNetwork:
             blueprint = synthetic_blueprint(40, 40 + sizing.selector_priming)
             duplicated = build_duplicated(blueprint, sizing)
             if swap:
-                general_bodies(duplicated.replicator)
-                general_bodies(duplicated.selector)
+                install_reference(duplicated.replicator)
+                install_reference(duplicated.selector)
             duplicated.run(max_events=200_000)
             assert len(duplicated.detection_log) == 0
             assert duplicated.consumer.stalls == 0

@@ -1,5 +1,5 @@
 """Property-based tests of the selector's merge invariants for n = 2..4
-(the two-replica body at n = 2, the general body above)."""
+(one poll body per operation serves every n)."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st

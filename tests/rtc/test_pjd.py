@@ -28,6 +28,15 @@ class TestPjdValidation:
         with pytest.raises(ValueError):
             PJD(10.0, 0.0, 11.0)
 
+    @pytest.mark.parametrize("params", [
+        (math.nan, 0.0, 1.0), (math.inf, 0.0, 1.0), (10.0, math.inf, 1.0),
+        (10.0, math.nan, 1.0), (10.0, 0.0, math.nan),
+    ], ids=["nan-period", "inf-period", "inf-jitter", "nan-jitter",
+            "nan-min-distance"])
+    def test_rejects_non_finite_parameters(self, params):
+        with pytest.raises(ValueError, match="finite"):
+            PJD(*params)
+
     def test_jitter_may_exceed_period(self):
         model = PJD(10.0, 25.0, 10.0)
         assert model.jitter == 25.0

@@ -45,6 +45,15 @@ class TestSizingCommand:
     def test_missing_models_errors(self, capsys):
         assert main(["sizing", "--producer", "10,1,10"]) == 2
 
+    @pytest.mark.parametrize("producer", ["nan,0,1", "inf,0,1"])
+    def test_non_finite_model_is_a_usage_error(self, capsys, producer):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sizing", "--producer", producer,
+                  "--replica1", "10,2,1", "--replica2", "10,2,1",
+                  "--consumer", "10,2,1"])
+        assert exit_info.value.code == 2
+        assert "must be finite" in capsys.readouterr().err
+
 
 class TestDemoCommand:
     def test_adpcm_demo(self, capsys):
