@@ -8,16 +8,15 @@ for the paper's fail-silent fault model and driven by a polling timer
 polling loop), which is exactly the resource the paper's approach avoids.
 """
 
-from repro.baselines.monitor import MonitorDetection, PollingMonitor
 from repro.baselines.distance import (
     DistanceBounds,
     DistanceFunctionMonitor,
+    MonitorDetection,
     l_repetitive_bounds,
 )
 
 __all__ = [
     "MonitorDetection",
-    "PollingMonitor",
     "DistanceBounds",
     "DistanceFunctionMonitor",
     "l_repetitive_bounds",

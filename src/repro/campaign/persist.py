@@ -202,6 +202,7 @@ def save_run_report(
         fault=scenario.fault,
         sizing=sizing,
         strict_single_fault=scenario.missize is None,
+        recovery=scenario.recovery,
         obs=obs,
     )
     report = build_run_report(run, sizing, app.name, scenario.tokens,

@@ -80,7 +80,7 @@ class ReplicatorChannel:
         ``n - 1`` permanent timing faults (one for the paper's pair).
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`; when
-        enabled, every committed operation samples the live ``space_k``
+        given, every committed operation samples the live ``space_k``
         levels (``chan.<name>.space_1 .. space_n``) and the consumption
         divergence ``max reads - min reads`` (``chan.<name>.divergence``)
         — the quantity the Eq. 5 threshold ``D`` bounds at this channel.
@@ -126,12 +126,12 @@ class ReplicatorChannel:
         self.ops = 0
         self.op_calls = 0
         #: One row ``time, space_1 .. space_n, divergence`` per committed
-        #: operation, or ``None`` without an enabled registry.
+        #: operation, or ``None`` without a registry.
         self._rows = (
             metrics.series_rows(
                 *(f"chan.{name}.space_{k + 1}" for k in range(n)),
                 f"chan.{name}.divergence")
-            if metrics is not None and metrics.enabled else None
+            if metrics is not None else None
         )
         self._queues: Tuple[Deque, ...] = tuple(deque() for _ in range(n))
         self.fault = [False] * n

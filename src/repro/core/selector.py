@@ -92,7 +92,7 @@ class SelectorChannel:
         studies disable it to isolate the divergence mechanism.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`; when
-        enabled, every committed operation samples the physical fill
+        given, every committed operation samples the physical fill
         (``chan.<name>.fill``), the virtual ``space_k`` levels
         (``chan.<name>.space_1 .. space_n``), the live divergence
         ``max writes - min writes`` (``chan.<name>.divergence`` — the
@@ -166,10 +166,10 @@ class SelectorChannel:
         self.drops = [0] * n
         self.reads = 0
         #: One row ``time, fill, space_1 .. space_n, divergence[,
-        #: headroom]`` per committed operation, or ``None`` without an
-        #: enabled registry.
+        #: headroom]`` per committed operation, or ``None`` without a
+        #: registry.
         self._rows = None
-        if metrics is not None and metrics.enabled:
+        if metrics is not None:
             if self.priming:
                 metrics.timeseries(f"chan.{name}.fill").append(0.0, self.fill)
             names = ["fill", *(f"space_{k + 1}" for k in range(n)),

@@ -27,15 +27,14 @@ Specs are run as handed over: every spec producer attaches a solved
 sizing, and a spec without one is solved inside
 :func:`~repro.exec.worker.execute_task`.
 
-Progress is observable through a
-:class:`~repro.obs.metrics.MetricsRegistry` (``sweep.*`` counters and
-the per-task wall-time histogram), a ``progress`` callback (called once
-per finished task with a **monotone** completed count), and/or a
-:class:`~repro.obs.ledger.LedgerWriter` — the streaming path: every
-submission and completion is appended to the run ledger as it happens,
-and each result's metrics snapshot is folded into the executor's
-fleet-wide ``metrics`` registry, so campaign-scale percentiles and
-counter totals exist without shipping raw series.
+The executor's :class:`SweepStats` (``stats``) is the account of the
+last sweep: task, execution, cache-hit, dedup and error counts plus
+per-task wall times.  Each result's metrics snapshot is folded into the
+executor's fleet-wide ``metrics`` registry, so campaign-scale
+percentiles and counter totals exist without shipping raw series.
+Progress is observable through an optional
+:class:`~repro.obs.ledger.LedgerWriter`: every submission and
+completion is appended to the run ledger as it happens.
 
 Because every run is a pure function of its spec (seeded RNG only — see
 ``tests/experiments/test_runner.py::TestSeedPurity``), parallel, serial,
@@ -47,7 +46,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.exec.cache import ResultCache
 from repro.exec.pool import WorkerPool, fork_available
@@ -59,8 +58,6 @@ from repro.obs.metrics import MetricsRegistry
 #: Chunks per worker per batch: more spreads load across workers,
 #: fewer amortises pickling and IPC.
 _CHUNK_WAVES = 4
-
-ProgressCallback = Callable[[int, int, TaskSpec, TaskResult], None]
 
 
 @dataclass
@@ -103,8 +100,6 @@ class SweepExecutor:
         self,
         jobs: int = 1,
         cache: Optional[ResultCache] = None,
-        registry=None,
-        progress: Optional[ProgressCallback] = None,
         ledger=None,
         dedup: bool = True,
     ) -> None:
@@ -112,15 +107,12 @@ class SweepExecutor:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
         self.cache = cache
-        self.registry = registry
-        self.progress = progress
         self.ledger = ledger
         self.dedup = dedup
         self.stats = SweepStats()
         #: The persistent worker pool (created lazily on the first
         #: parallel run; ``None`` until then and after :meth:`close`).
         self.pool: Optional[WorkerPool] = None
-        self._done = 0
         # Fleet-wide aggregate over every result of the last run()
         # (cache hits included).
         self.metrics = MetricsRegistry()
@@ -155,7 +147,6 @@ class SweepExecutor:
         stats = SweepStats(tasks=len(specs), jobs=self.jobs)
         results: List[Optional[TaskResult]] = [None] * len(specs)
         self.metrics = MetricsRegistry()
-        self._done = 0
         if self.ledger is not None:
             self.ledger.sweep_start(len(specs), self.jobs)
 
@@ -196,10 +187,9 @@ class SweepExecutor:
         for index in leaders:
             hit = hits.get(digests[index]) if digests[index] else None
             if hit is not None:
-                self._finish(index, specs[index], hit, stats,
-                             results, cache_hit=True)
-                self._finish_followers(index, specs, followers, hit,
-                                       stats, results)
+                self._finish(index, hit, stats, results, cache_hit=True)
+                self._finish_followers(index, followers, hit, stats,
+                                       results)
             else:
                 pending.append(index)
 
@@ -211,7 +201,6 @@ class SweepExecutor:
                              stats)
 
         stats.wall_time_s = time.perf_counter() - started
-        self._flush_metrics(stats)
         self.stats = stats
         if self.ledger is not None:
             self.ledger.sweep_end(stats.as_dict())
@@ -223,8 +212,8 @@ class SweepExecutor:
                     stats) -> None:
         for index in pending:
             result = execute_task(specs[index])
-            self._complete(index, specs, digests, followers,
-                           result, stats, results)
+            self._complete(index, digests, followers, result, stats,
+                           results)
 
     def _run_pool(self, specs, pending, digests, followers, results,
                   stats) -> None:
@@ -238,34 +227,32 @@ class SweepExecutor:
             self.pool = WorkerPool(self.jobs)
         for _, chunk_results in self.pool.map_chunks(run_chunk, chunks):
             for index, result in chunk_results:
-                self._complete(index, specs, digests, followers,
-                               result, stats, results)
+                self._complete(index, digests, followers, result,
+                               stats, results)
 
-    def _complete(self, index, specs, digests, followers,
-                  result, stats, results) -> None:
+    def _complete(self, index, digests, followers, result, stats,
+                  results) -> None:
         """Bookkeeping for one freshly executed leader: persist to the
         cache, account it, and resolve every follower sharing its
         digest."""
         if self.cache is not None and digests[index] is not None:
             self.cache.put(digests[index], result)
-        self._finish(index, specs[index], result, stats, results,
-                     executed=True)
-        self._finish_followers(index, specs, followers, result,
-                               stats, results)
+        self._finish(index, result, stats, results, executed=True)
+        self._finish_followers(index, followers, result, stats, results)
 
-    def _finish_followers(self, leader, specs, followers, result,
-                          stats, results) -> None:
+    def _finish_followers(self, leader, followers, result, stats,
+                          results) -> None:
         for index in followers.get(leader, ()):
-            self._finish(index, specs[index], result, stats, results,
-                         deduped=True)
+            self._finish(index, result, stats, results, deduped=True)
 
-    def _finish(self, index, spec, result, stats, results, *,
+    def _finish(self, index, result, stats, results, *,
                 executed: bool = False, cache_hit: bool = False,
                 deduped: bool = False) -> None:
-        """Deliver one finished task: slot the result, stream it, and
-        fire the progress callback with a monotone completed count."""
+        """Deliver one finished task: slot the result, account it in
+        ``stats``, fold its metrics snapshot into the fleet aggregate
+        and append the completion record to the run ledger (when one is
+        attached)."""
         results[index] = result
-        self._stream(index, result, cache_hit=cache_hit, deduped=deduped)
         if executed:
             stats.executed += 1
             stats.task_wall_s.append(result.wall_time_s)
@@ -273,54 +260,17 @@ class SweepExecutor:
                 stats.errors += 1
         elif cache_hit:
             stats.cache_hits += 1
-        self._done += 1
-        if self.registry is not None:
-            self.registry.counter("sweep.completed").inc()
-            self.registry.histogram("sweep.task_wall_ms").observe(
-                result.wall_time_s * 1e3
-            )
-        if self.progress is not None:
-            self.progress(self._done, stats.tasks, spec, result)
-
-    def _stream(self, index, result, cache_hit: bool = False,
-                deduped: bool = False) -> None:
-        """Streaming bookkeeping for one completed task: fold its
-        metrics snapshot into the fleet aggregate and append the
-        completion record to the run ledger (when one is attached)."""
         if result.metrics:
             self.metrics.merge(MetricsRegistry.from_dict(result.metrics))
         if self.ledger is not None:
             self.ledger.task_finished(index, result, cache_hit=cache_hit,
                                       deduped=deduped)
 
-    # -- bookkeeping -------------------------------------------------------
-
-    def _flush_metrics(self, stats) -> None:
-        if self.registry is None:
-            return
-        self.registry.counter("sweep.tasks").inc(stats.tasks)
-        self.registry.counter("sweep.executed").inc(stats.executed)
-        self.registry.counter("sweep.cache_hits").inc(stats.cache_hits)
-        self.registry.counter("sweep.errors").inc(stats.errors)
-        self.registry.counter("sweep.dedup.unique").inc(stats.unique)
-        self.registry.counter("sweep.dedup.duplicates").inc(stats.deduped)
-        if self.pool is not None:
-            pool_stats = self.pool.stats()
-            self.registry.gauge("sweep.pool.forks").set(pool_stats["forks"])
-            self.registry.gauge("sweep.pool.respawns").set(
-                pool_stats["respawns"]
-            )
-            self.registry.gauge("sweep.pool.batches").set(
-                pool_stats["batches"]
-            )
-
 
 def run_sweep(
     specs: Sequence[TaskSpec],
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    registry=None,
-    progress: Optional[ProgressCallback] = None,
     ledger=None,
     dedup: bool = True,
     executor: Optional[SweepExecutor] = None,
@@ -337,8 +287,6 @@ def run_sweep(
     with SweepExecutor(
         jobs=jobs,
         cache=cache,
-        registry=registry,
-        progress=progress,
         ledger=ledger,
         dedup=dedup,
     ) as one_shot:

@@ -53,7 +53,7 @@ class WorkerPool:
         self.workers = workers
         self.max_respawns = max_respawns
         self._pool: Optional[ProcessPoolExecutor] = None
-        #: Lifetime counters (observability; see ``sweep.pool.*``).
+        #: Lifetime counters: crash respawns, finished batches, forks.
         self.respawns = 0
         self.batches = 0
         self.forks = 0
@@ -147,16 +147,6 @@ class WorkerPool:
                     )
                 respawns_left -= 1
         self.batches += 1
-
-    def stats(self) -> dict:
-        """Lifetime pool counters for reports and metrics."""
-        return {
-            "workers": self.workers,
-            "active": self.active,
-            "forks": self.forks,
-            "respawns": self.respawns,
-            "batches": self.batches,
-        }
 
     def __repr__(self) -> str:
         state = "active" if self.active else "idle"

@@ -70,7 +70,6 @@ def threshold_sweep(
     base_seed: int = 1,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    registry=None,
     executor=None,
 ) -> List[SweepPoint]:
     """A1: sweep the selector divergence threshold ``D``."""
@@ -106,8 +105,7 @@ def threshold_sweep(
                     selector_stall_detection=False,
                 )
             )
-    results = run_sweep(specs, jobs=jobs, cache=cache, registry=registry,
-                        executor=executor)
+    results = run_sweep(specs, jobs=jobs, cache=cache, executor=executor)
 
     points: List[SweepPoint] = []
     at = 0
@@ -159,7 +157,6 @@ def polling_interval_sweep(
     base_seed: int = 1,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    registry=None,
     executor=None,
 ) -> List[SweepPoint]:
     """A2: sweep the distance-function baseline's polling period."""
@@ -186,8 +183,7 @@ def polling_interval_sweep(
                     ),
                 )
             )
-    results = run_sweep(specs, jobs=jobs, cache=cache, registry=registry,
-                        executor=executor)
+    results = run_sweep(specs, jobs=jobs, cache=cache, executor=executor)
 
     points: List[SweepPoint] = []
     at = 0
@@ -229,7 +225,6 @@ def capacity_margin_sweep(
     base_seed: int = 1,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    registry=None,
     executor=None,
 ) -> List[SweepPoint]:
     """A3: scale the replicator capacities around the Eq. 3 values."""
@@ -261,8 +256,7 @@ def capacity_margin_sweep(
                     strict_single_fault=False,
                 )
             )
-    results = run_sweep(specs, jobs=jobs, cache=cache, registry=registry,
-                        executor=executor)
+    results = run_sweep(specs, jobs=jobs, cache=cache, executor=executor)
 
     points: List[SweepPoint] = []
     at = 0

@@ -51,7 +51,6 @@ def reproduce_all(
     output_path: Optional[str] = None,
     jobs: int = 1,
     cache=None,
-    registry=None,
 ) -> ReproductionResult:
     """Regenerate the full evaluation.
 
@@ -67,18 +66,15 @@ def reproduce_all(
 
     apps = [cls(AppScale(), seed=seed) for cls in ALL_APPLICATIONS]
     table1_text = render_table1(apps)
-    with SweepExecutor(jobs=jobs, cache=cache,
-                       registry=registry) as executor:
+    with SweepExecutor(jobs=jobs, cache=cache) as executor:
         table2_results = [
             run_table2(app, runs=runs, warmup_tokens=warmup_tokens,
-                       jobs=jobs, cache=cache, registry=registry,
                        executor=executor)
             for app in apps
         ]
         table3_result = run_table3(apps=apps, runs=runs,
                                    warmup_tokens=min(warmup_tokens, 120),
-                                   jobs=jobs, cache=cache,
-                                   registry=registry, executor=executor)
+                                   executor=executor)
     markdown = "\n".join(
         [
             "```",

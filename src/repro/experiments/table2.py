@@ -117,7 +117,6 @@ def run_table2(
     base_seed: int = 1,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    registry=None,
     executor=None,
 ) -> Table2Result:
     """Regenerate one application's half of Table 2.
@@ -132,8 +131,7 @@ def run_table2(
     """
     sizing = app.sizing()
     specs = table2_specs(app, runs, warmup_tokens, post_tokens, base_seed)
-    results = run_sweep(specs, jobs=jobs, cache=cache, registry=registry,
-                        executor=executor)
+    results = run_sweep(specs, jobs=jobs, cache=cache, executor=executor)
 
     max_fills = {"R1": 0, "R2": 0, "S": 0}
     ref_gaps: List[float] = []

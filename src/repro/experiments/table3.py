@@ -118,7 +118,6 @@ def run_table3(
     base_seed: int = 1,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    registry=None,
     executor=None,
 ) -> Table3Result:
     """Regenerate Table 3 across the three applications."""
@@ -136,7 +135,7 @@ def run_table3(
         per_app.append((app, faults, len(all_specs), len(specs)))
         all_specs.extend(specs)
     all_results = run_sweep(all_specs, jobs=jobs, cache=cache,
-                            registry=registry, executor=executor)
+                            executor=executor)
 
     rows: List[Table3Row] = []
     for app, faults, offset, count in per_app:

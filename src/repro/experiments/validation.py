@@ -179,7 +179,6 @@ def validation_sweep(
     base_seed: int = 1,
     jobs: int = 1,
     cache=None,
-    registry=None,
     executor=None,
 ) -> List[Tuple[str, int, ValidationReport]]:
     """Audit fault-free runs of every application across ``runs`` seeds.
@@ -208,8 +207,7 @@ def validation_sweep(
                     app, tokens, seed, sizing=sizing, validate=True
                 )
             )
-    results = run_sweep(specs, jobs=jobs, cache=cache, registry=registry,
-                        executor=executor)
+    results = run_sweep(specs, jobs=jobs, cache=cache, executor=executor)
     audited: List[Tuple[str, int, ValidationReport]] = []
     for (name, seed), outcome in zip(labels, results):
         if not outcome.ok:

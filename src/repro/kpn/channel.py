@@ -102,7 +102,7 @@ class Fifo:
         Tokens pre-filling the queue at time zero (the ``F_{C,0}`` /
         ``|S_k|_0`` priming of Eq. 4).
     metrics:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry`; when enabled
+        Optional :class:`~repro.obs.metrics.MetricsRegistry`; when given,
         the channel samples its fill level into the time series
         ``chan.<name>.fill`` on every committed read and write, one
         ``time, fill`` row of a :class:`~repro.kpn.seriesrows.SeriesRows`
@@ -131,11 +131,10 @@ class Fifo:
         self._queue: Deque = deque((0.0, token) for token in initial_tokens)
         if trace is not None and len(self._queue) > trace.max_fill:
             trace.max_fill = len(self._queue)
-        #: Fill samples ``time, fill``, or ``None`` without an enabled
-        #: registry.
+        #: Fill samples ``time, fill``, or ``None`` without a registry.
         self._rows = (
             metrics.series_rows(f"chan.{name}.fill")
-            if metrics is not None and metrics.enabled else None
+            if metrics is not None else None
         )
         if self._rows is not None and initial_tokens:
             self._rows.extend((0.0, len(self._queue)))

@@ -196,11 +196,9 @@ class Simulator:
         self._event_count = 0
         #: Optional telemetry (see :mod:`repro.obs`).  Instruments are
         #: created eagerly here so the hot paths only test ``is not None``
-        #: — a disabled (or absent) registry costs one pointer check per
-        #: sample site and nothing per event.
-        self._metrics = (
-            metrics if metrics is not None and metrics.enabled else None
-        )
+        #: — an absent registry costs one pointer check per sample site
+        #: and nothing per event.
+        self._metrics = metrics
         if self._metrics is not None:
             self._m_events = self._metrics.counter("sim.events")
             self._m_heap_events = self._metrics.counter("sim.heap_events")

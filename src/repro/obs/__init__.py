@@ -4,9 +4,8 @@ The package is organised as two halves plus two consumers:
 
 * :mod:`repro.obs.metrics` — aggregate instruments (counters, gauges,
   mergeable log-histogram sketches, time series) behind a
-  :class:`MetricsRegistry` that is free when disabled, and whose
-  ``snapshot()`` is the one wire and merge form of a run, a task or a
-  fleet;
+  :class:`MetricsRegistry` whose ``snapshot()`` is the one wire and
+  merge form of a run, a task or a fleet;
 * :mod:`repro.obs.timeline` — the event-shaped record of one run
   (process transitions, fault injections, detections) plus the
   :class:`Observability` bundle runs are observed through;
@@ -24,7 +23,6 @@ use of one of their names, so a single run never imports the HTTP stack.
 
 from repro._lazy import lazy_exports
 from repro.obs.metrics import (
-    DISABLED,
     SNAPSHOT_SCHEMA,
     Counter,
     Gauge,
@@ -58,7 +56,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
 })
 
 __all__ = [
-    "DISABLED",
     "Counter",
     "Gauge",
     "LogHistogramSketch",

@@ -28,12 +28,10 @@ Design constraints (both load-bearing):
 * **Determinism** — instruments only *record*; they never touch simulator
   state, so an instrumented run fires the exact same event sequence as an
   uninstrumented one (checked byte-for-byte against the golden traces).
-* **Disabled means free** — the hot path must pay ~nothing when metrics
-  are off.  Instrumented code therefore holds either a live instrument or
-  ``None`` and guards each sample with one ``is not None`` check (the same
-  idiom as the existing ``ChannelTrace`` hooks).  A disabled registry
-  hands out shared no-op instruments so *optional* instrumentation can
-  also be written unconditionally against the registry API.
+* **Off means free** — the hot path must pay ~nothing when metrics are
+  off (no registry passed).  Instrumented code therefore holds either a
+  live instrument or ``None`` and guards each sample with one ``is not
+  None`` check (the same idiom as the existing ``ChannelTrace`` hooks).
 
 Typical use::
 
@@ -410,57 +408,22 @@ class TimeSeries:
         return f"TimeSeries({self.name}, n={self.count})"
 
 
-class _NullInstrument:
-    """Shared do-nothing stand-in handed out by a disabled registry."""
-
-    __slots__ = ()
-
-    kind = "null"
-    name = "<disabled>"
-    value = 0
-    count = 0
-
-    def inc(self, amount: int = 1) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def append(self, time: float, value: float) -> None:
-        pass
-
-    def merge(self, other) -> None:
-        pass
-
-
-_NULL = _NullInstrument()
-
-
 class MetricsRegistry:
     """Named instruments for one run, one task or a whole fleet.
 
     Instrument factories are get-or-create: asking twice for the same name
     returns the same object (a name collision across instrument kinds is
-    an error).  A registry constructed with ``enabled=False`` — or the
-    module-level :data:`DISABLED` singleton — hands out a shared no-op
-    instrument and reports ``enabled = False``, which instrumented
-    components use to skip creating (and guarding) per-sample hooks
-    entirely.
+    an error).  Components that are handed no registry (``None``) record
+    nothing and install no per-sample hooks.
     """
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._instruments: Dict[str, Any] = {}
         self._rows: List[SeriesRows] = []
 
     # -- factories ----------------------------------------------------------
 
     def _get_or_create(self, name: str, cls, *args):
-        if not self.enabled:
-            return _NULL
         instrument = self._instruments.get(name)
         if instrument is None:
             instrument = cls(*args)
@@ -487,10 +450,7 @@ class MetricsRegistry:
 
     def series_rows(self, *names: str) -> SeriesRows:
         """A row buffer feeding the (get-or-created) series ``names``;
-        a row is ``time, value for names[0], value for names[1], ...``.
-        Only an enabled registry hands one out."""
-        if not self.enabled:
-            raise ValueError("a disabled registry records no series")
+        a row is ``time, value for names[0], value for names[1], ...``."""
         rows = SeriesRows(tuple(self.timeseries(name) for name in names))
         self._rows.append(rows)
         return rows
@@ -592,10 +552,4 @@ class MetricsRegistry:
         return registry
 
     def __repr__(self) -> str:
-        state = "enabled" if self.enabled else "disabled"
-        return f"MetricsRegistry({state}, {len(self._instruments)} metrics)"
-
-
-#: Shared always-disabled registry: pass where a registry is required but
-#: instrumentation must stay off (the no-op default of the hot paths).
-DISABLED = MetricsRegistry(enabled=False)
+        return f"MetricsRegistry({len(self._instruments)} metrics)"

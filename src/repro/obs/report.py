@@ -103,7 +103,7 @@ def build_run_report(
     from, ``fault`` the :class:`~repro.faults.models.FaultSpec` injected
     (``None`` for fault-free runs).  Works with or without an attached
     ``obs`` bundle — divergence peaks and the metrics snapshot are only
-    populated when the run was observed with an enabled registry.
+    populated when the run was observed.
     """
     stats = run.stats
     obs = run.obs
@@ -212,10 +212,7 @@ def build_run_report(
         "channels": channels,
         "divergence": divergence,
         "detection": detection,
-        "metrics": (
-            registry.snapshot()
-            if registry is not None and registry.enabled else {}
-        ),
+        "metrics": registry.snapshot() if registry is not None else {},
     }
 
 

@@ -176,7 +176,3 @@ class Observability:
     def __post_init__(self) -> None:
         if self.timeline is None:
             self.timeline = RunTimeline(self.registry)
-
-    @property
-    def enabled(self) -> bool:
-        return self.registry.enabled

@@ -34,14 +34,6 @@ from repro.rtc.calibration import (
     fit_pjd,
     sliding_window_counts,
 )
-from repro.rtc.service import (
-    RateLatencyServiceCurve,
-    backlog_bound,
-    delay_bound,
-    gpc_transform,
-    horizontal_deviation,
-    vertical_deviation,
-)
 from repro.rtc.sizing import (
     SizingResult,
     detection_latency_bound,
@@ -70,12 +62,6 @@ __all__ = [
     "empirical_curves",
     "fit_pjd",
     "sliding_window_counts",
-    "RateLatencyServiceCurve",
-    "backlog_bound",
-    "delay_bound",
-    "gpc_transform",
-    "horizontal_deviation",
-    "vertical_deviation",
     "SizingResult",
     "detection_latency_bound",
     "detection_latency_bound_fail_stop",

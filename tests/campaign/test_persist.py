@@ -25,9 +25,11 @@ from repro.campaign.persist import (
 from repro.campaign.scenario import (
     MISSIZE_CAPACITY,
     Scenario,
+    ScenarioGenerator,
     SyntheticModels,
 )
 from repro.exec.taskspec import TaskSpecError
+from repro.exec.worker import execute_task
 from repro.faults.models import FAIL_STOP, FaultSpec
 from repro.obs.report import SCHEMA_ID as RUN_REPORT_SCHEMA_ID
 from repro.rtc.pjd import PJD
@@ -241,3 +243,14 @@ class TestRunReport:
                                tmp_path / "report.json")
         document = json.loads(path.read_text())
         assert document["schema"] == RUN_REPORT_SCHEMA_ID
+
+    def test_report_runs_the_scenarios_recovery(self, tmp_path):
+        # The broken-countermeasure self-test arms a recovery spec; the
+        # report must describe the same duplicated run the scenario's
+        # task executes, countermeasure included.
+        [scenario] = [test for test in ScenarioGenerator(7).self_tests()
+                      if test.recovery is not None]
+        path = save_run_report(scenario, tmp_path / "report.json")
+        document = json.loads(path.read_text())
+        duplicated = execute_task(scenario.specs()[1])
+        assert document["throughput"]["events"] == duplicated.events

@@ -33,6 +33,22 @@ def specs(app):
     return out
 
 
+def _finished_indices(path):
+    """Task indices of every ``task-finished`` record in the ledger at
+    ``path``, per sweep, in delivery order."""
+    from repro.obs.ledger import read_ledger
+
+    replay = read_ledger(path)
+    assert replay.ok, replay.warnings
+    sweeps = []
+    for record in replay.records:
+        if record["type"] == "sweep-start":
+            sweeps.append([])
+        elif record["type"] == "task-finished":
+            sweeps[-1].append(record["task"])
+    return sweeps
+
+
 def _strip(result):
     data = dataclasses.asdict(result)
     # Observability-only fields: wall clock, worker identity and the
@@ -110,26 +126,23 @@ class TestCacheIntegration:
 
 
 class TestObservability:
-    def test_progress_callback_sees_every_task(self, specs):
-        seen = []
-        run_sweep(
-            specs,
-            progress=lambda done, total, spec, result:
-                seen.append((done, total)),
-        )
-        assert len(seen) == len(specs)
-        assert seen[-1] == (len(specs), len(specs))
-        assert all(total == len(specs) for _, total in seen)
+    def test_ledger_finishes_every_task(self, specs, tmp_path):
+        from repro.obs.ledger import LedgerWriter
 
-    def test_metrics_registry_counters(self, specs, tmp_path):
-        registry = MetricsRegistry()
-        run_sweep(specs, cache=ResultCache(tmp_path), registry=registry)
-        counters = registry.counters
-        assert counters["sweep.tasks"] == len(specs)
-        assert counters["sweep.executed"] == len(specs)
-        assert counters["sweep.cache_hits"] == 0
-        assert counters["sweep.errors"] == 0
-        assert registry.get("sweep.task_wall_ms").count == len(specs)
+        with LedgerWriter(tmp_path / "run.ledger") as ledger:
+            run_sweep(specs, ledger=ledger)
+        [finished] = _finished_indices(tmp_path / "run.ledger")
+        assert sorted(finished) == list(range(len(specs)))
+
+    def test_stats_counters(self, specs, tmp_path):
+        executor = SweepExecutor(cache=ResultCache(tmp_path))
+        executor.run(specs)
+        stats = executor.stats
+        assert stats.tasks == len(specs)
+        assert stats.executed == len(specs)
+        assert stats.cache_hits == 0
+        assert stats.errors == 0
+        assert len(stats.task_wall_s) == len(specs)
 
     def test_stats_wall_times_recorded(self, specs):
         executor = SweepExecutor()
@@ -300,16 +313,16 @@ class TestDedupScheduling:
         assert plain.stats.deduped == 0
         assert [_strip(r) for r in fast] == [_strip(r) for r in slow]
 
-    def test_dedup_counters_reach_the_registry(self, specs):
-        registry = MetricsRegistry()
+    def test_dedup_counters_reach_the_stats(self, specs):
         doubled = list(specs) + list(specs)
-        run_sweep(doubled, registry=registry)
-        counters = registry.counters
-        assert counters["sweep.dedup.unique"] == len(specs)
-        assert counters["sweep.dedup.duplicates"] == len(specs)
-        assert counters["sweep.executed"] == len(specs)
-        # Every task — executed or deduped — still completes.
-        assert counters["sweep.completed"] == len(doubled)
+        executor = SweepExecutor()
+        executor.run(doubled)
+        stats = executor.stats
+        assert stats.tasks == len(doubled)
+        assert stats.unique == len(specs)
+        assert stats.deduped == len(specs)
+        assert stats.executed == len(specs)
+        assert len(stats.task_wall_s) == len(specs)
 
     def test_dedup_under_pool_executes_unique_only(self, specs):
         doubled = list(specs) + list(specs)
@@ -360,40 +373,39 @@ class TestDedupScheduling:
 
 
 class TestMonotoneProgress:
-    """The progress callback's ``done`` counter must rise by exactly one
-    per finished task, regardless of dedup, caching, or chunking."""
+    """The ledger carries exactly one ``task-finished`` record per task
+    index — the count ``repro top`` shows as progress — regardless of
+    dedup, caching, or chunking."""
 
-    def test_done_counts_every_task_exactly_once(self, specs):
+    def test_done_counts_every_task_exactly_once(self, specs, tmp_path):
+        from repro.obs.ledger import LedgerWriter
+
         doubled = list(specs) + list(specs)
-        seen = []
-        run_sweep(
-            doubled, jobs=2,
-            progress=lambda done, total, spec, result:
-                seen.append((done, total)),
-        )
-        dones = [done for done, _ in seen]
-        assert dones == list(range(1, len(doubled) + 1))
-        assert seen[-1] == (len(doubled), len(doubled))
+        with LedgerWriter(tmp_path / "run.ledger") as ledger:
+            run_sweep(doubled, jobs=2, ledger=ledger)
+        [finished] = _finished_indices(tmp_path / "run.ledger")
+        assert sorted(finished) == list(range(len(doubled)))
 
-    def test_done_resets_between_runs(self, specs):
-        executor = SweepExecutor(
-            progress=lambda done, total, spec, result:
-                seen.append(done),
-        )
-        seen = []
-        executor.run(specs)
-        executor.run(specs)
-        assert seen == list(range(1, len(specs) + 1)) * 2
+    def test_done_resets_between_runs(self, specs, tmp_path):
+        from repro.obs.ledger import LedgerWriter
+
+        with LedgerWriter(tmp_path / "run.ledger") as ledger:
+            executor = SweepExecutor(ledger=ledger)
+            executor.run(specs)
+            executor.run(specs)
+        sweeps = _finished_indices(tmp_path / "run.ledger")
+        assert [sorted(finished) for finished in sweeps] == (
+            [list(range(len(specs)))] * 2)
 
     def test_cache_hits_advance_progress(self, specs, tmp_path):
-        SweepExecutor(cache=ResultCache(tmp_path)).run(specs)
-        seen = []
-        run_sweep(
-            specs, cache=ResultCache(tmp_path),
-            progress=lambda done, total, spec, result:
-                seen.append(done),
-        )
-        assert seen == list(range(1, len(specs) + 1))
+        from repro.obs.ledger import LedgerWriter
+
+        SweepExecutor(cache=ResultCache(tmp_path / "cache")).run(specs)
+        with LedgerWriter(tmp_path / "run.ledger") as ledger:
+            run_sweep(specs, cache=ResultCache(tmp_path / "cache"),
+                      ledger=ledger)
+        [finished] = _finished_indices(tmp_path / "run.ledger")
+        assert finished == list(range(len(specs)))
 
 
 class TestPersistentPool:
@@ -431,16 +443,6 @@ class TestPersistentPool:
             executor.run(specs)
             assert executor.pool is not None and executor.pool.active
         assert executor.pool is None or not executor.pool.active
-
-    def test_pool_metrics_gauges(self, specs):
-        registry = MetricsRegistry()
-        with SweepExecutor(jobs=2, registry=registry) as executor:
-            executor.run(specs)
-            executor.run(specs)
-        gauges = registry.snapshot()["gauges"]
-        assert gauges["sweep.pool.forks"]["max"] == 1
-        assert gauges["sweep.pool.respawns"]["max"] == 0
-        assert gauges["sweep.pool.batches"]["max"] >= 2
 
 
 class TestStaticChunking:

@@ -98,12 +98,11 @@ class TestCrashRespawn:
                 list(pool.map_chunks(_crash_always, [1]))
         assert pool.respawns == 2  # initial crash + one respawned crash
 
-    def test_stats_shape(self):
+    def test_lifetime_counters(self):
         with WorkerPool(2) as pool:
             list(pool.map_chunks(_double, [1]))
-            stats = pool.stats()
-        assert stats["workers"] == 2
-        assert stats["forks"] == 1
-        assert stats["respawns"] == 0
-        assert stats["batches"] == 1
+        assert pool.workers == 2
+        assert pool.forks == 1
+        assert pool.respawns == 0
+        assert pool.batches == 1
 

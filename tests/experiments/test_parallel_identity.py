@@ -169,24 +169,23 @@ class TestExecutionMatrix:
     def test_byte_identical_and_exactly_once(
         self, matrix_inputs, baselines, matrix, jobs, dedup
     ):
-        from repro.obs.metrics import MetricsRegistry
-
         specs = matrix_inputs[matrix]
-        registry = MetricsRegistry()
-        results = run_sweep(specs, jobs=jobs, dedup=dedup,
-                            registry=registry)
+        with SweepExecutor(jobs=jobs, dedup=dedup) as executor:
+            results = executor.run(specs)
         assert self._canonical(results) == baselines[matrix]
 
         unique = len({spec.digest() for spec in specs})
         duplicates = len(specs) - unique
-        counters = registry.counters
+        stats = executor.stats
         if dedup:
             # Exactly-once execution per unique digest.
-            assert counters["sweep.executed"] == unique
-            assert counters["sweep.dedup.unique"] == unique
-            assert counters["sweep.dedup.duplicates"] == duplicates
+            assert stats.executed == unique
+            assert stats.unique == unique
+            assert stats.deduped == duplicates
         else:
-            assert counters["sweep.executed"] == len(specs)
-            assert counters["sweep.dedup.duplicates"] == 0
-        assert counters["sweep.completed"] == len(specs)
-        assert counters["sweep.errors"] == 0
+            assert stats.executed == len(specs)
+            assert stats.deduped == 0
+        assert len(stats.task_wall_s) == stats.executed
+        assert stats.tasks == len(specs)
+        assert stats.cache_hits == 0
+        assert stats.errors == 0

@@ -139,23 +139,19 @@ def test_traces_match_seed_engine(name):
     )
 
 
-@pytest.mark.parametrize("enabled", [False, True],
-                         ids=["disabled-registry", "enabled-registry"])
-@pytest.mark.parametrize("name", sorted(_scenarios()))
-def test_telemetry_does_not_perturb_traces(name, enabled):
+@pytest.mark.parametrize("name", sorted(_scenarios()),
+                         ids=lambda name: f"{name}-enabled-registry")
+def test_telemetry_does_not_perturb_traces(name):
     """Observation is read-only: running a scenario with the telemetry
-    layer attached — disabled registry or full metrics + transition hook +
-    timeline — must reproduce the golden event stream byte-for-byte."""
-    from repro.obs import DISABLED, Observability
+    layer attached — full metrics + transition hook + timeline — must
+    reproduce the golden event stream byte-for-byte."""
+    from repro.obs import Observability
 
     golden_path = os.path.join(GOLDEN_DIR, f"{name}.json")
     with open(golden_path, "rb") as handle:
         golden = handle.read()
-    obs = Observability() if enabled else Observability(registry=DISABLED)
-    assert _trace_bytes(_scenarios()[name], obs=obs) == golden, (
-        f"scenario {name}: telemetry "
-        f"({'enabled' if enabled else 'disabled'} registry) perturbed the "
-        "event stream"
+    assert _trace_bytes(_scenarios()[name], obs=Observability()) == golden, (
+        f"scenario {name}: telemetry perturbed the event stream"
     )
 
 

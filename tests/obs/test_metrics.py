@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.obs.chrometrace import build_chrome_trace
 from repro.obs.metrics import (
-    DISABLED,
     FOLD_SIZE,
     Counter,
     Gauge,
@@ -230,25 +229,3 @@ class TestSeriesRows:
         assert 0 < len(channel._rows) < FOLD_SIZE
         assert divergence.count + len(channel._rows) // 4 == 3 * cycles
         assert registry.get("chan.rep.divergence").count == 3 * cycles
-
-    def test_disabled_registry_hands_out_no_rows(self):
-        with pytest.raises(ValueError):
-            MetricsRegistry(enabled=False).series_rows("x")
-
-
-class TestDisabledRegistry:
-    def test_disabled_hands_out_shared_noop(self):
-        registry = MetricsRegistry(enabled=False)
-        counter = registry.counter("a")
-        assert counter is registry.histogram("b")  # one shared null object
-        counter.inc()
-        counter.set(3.0)
-        counter.observe(1.0)
-        counter.append(0.0, 1.0)
-        assert registry.names() == []
-        assert registry.snapshot() == MetricsRegistry().snapshot()
-
-    def test_module_singleton_is_disabled(self):
-        assert DISABLED.enabled is False
-        DISABLED.counter("x").inc()
-        assert DISABLED.names() == []

@@ -1,7 +1,7 @@
 """Tests for the run timeline and the Observability bundle."""
 
 from repro.core.detection import DetectionLog
-from repro.obs.metrics import DISABLED, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeline import (
     TRANSITION_KINDS,
     Observability,
@@ -75,15 +75,6 @@ class TestFaultAccounting:
 
 
 class TestObservability:
-    def test_default_bundle_is_enabled(self):
+    def test_default_bundle_shares_its_registry(self):
         obs = Observability()
-        assert obs.enabled
         assert obs.timeline.registry is obs.registry
-
-    def test_disabled_bundle(self):
-        obs = Observability(registry=DISABLED)
-        assert not obs.enabled
-        # The timeline still records events; only metrics are no-ops.
-        obs.timeline.transition(0.0, "p", "start")
-        assert len(obs.timeline.transitions) == 1
-        assert obs.registry.names() == []
