@@ -158,7 +158,7 @@ def test_sweep_throughput(benchmark):
     times execution only.
     """
     from repro.apps.synthetic import SyntheticApp
-    from repro.exec import run_sweep, TaskSpec
+    from repro.exec import SweepExecutor, TaskSpec
 
     app = SyntheticApp.bursty(seed=3)
     sizing = app.sizing()
@@ -167,7 +167,7 @@ def test_sweep_throughput(benchmark):
         for seed in range(1, 7)
     ]
 
-    results = benchmark(run_sweep, specs)
+    results = benchmark(lambda: SweepExecutor().run(specs))
     assert all(r.ok for r in results)
 
 
@@ -180,7 +180,7 @@ def test_sweep_throughput_jobs2(benchmark):
     are pinned low and pedantic.
     """
     from repro.apps.synthetic import SyntheticApp
-    from repro.exec import run_sweep, TaskSpec
+    from repro.exec import SweepExecutor, TaskSpec
 
     app = SyntheticApp.bursty(seed=3)
     sizing = app.sizing()
@@ -189,10 +189,12 @@ def test_sweep_throughput_jobs2(benchmark):
         for seed in range(1, 7)
     ]
 
-    results = benchmark.pedantic(
-        run_sweep, args=(specs,), kwargs={"jobs": 2}, rounds=5,
-        iterations=1, warmup_rounds=1,
-    )
+    def sweep():
+        with SweepExecutor(jobs=2) as executor:
+            return executor.run(specs)
+
+    results = benchmark.pedantic(sweep, rounds=5, iterations=1,
+                                 warmup_rounds=1)
     assert all(r.ok for r in results)
 
 
@@ -249,10 +251,10 @@ def _stream_pair_specs():
 
 def test_sweep_throughput_stream_off(benchmark):
     """Baseline half of the streaming-overhead pair: no ledger."""
-    from repro.exec import run_sweep
+    from repro.exec import SweepExecutor
 
     specs = _stream_pair_specs()
-    results = benchmark(run_sweep, specs)
+    results = benchmark(lambda: SweepExecutor().run(specs))
     assert all(r.ok for r in results)
 
 
@@ -268,12 +270,12 @@ def test_sweep_throughput_streaming(benchmark, tmp_path):
     interleaved ``measure_obs_overhead`` gate in ``repro bench`` /
     bench_compare.
     """
-    from repro.exec import run_sweep
+    from repro.exec import SweepExecutor
     from repro.obs import LedgerWriter, read_ledger
 
     specs = _stream_pair_specs()
     with LedgerWriter(tmp_path / "bench.ledger") as ledger:
-        results = benchmark(run_sweep, specs, ledger=ledger)
+        results = benchmark(lambda: SweepExecutor(ledger=ledger).run(specs))
     assert all(r.ok for r in results)
     replay = read_ledger(tmp_path / "bench.ledger")
     assert len(replay.by_type("task-finished")) >= len(specs)

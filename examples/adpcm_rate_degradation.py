@@ -35,7 +35,7 @@ def main() -> None:
     )
 
     bounds = [
-        l_repetitive_bounds(model, l=1, margin=0.1 * model.period)
+        l_repetitive_bounds(model, margin=0.1 * model.period)
         for model in app.replica_input_models
     ]
     stop_time = (tokens + 20) * app.producer_model.period

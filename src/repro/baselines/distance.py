@@ -7,19 +7,17 @@ an event and its ``k``-th successor for every ``k``; an *l-repetitive*
 approximation stores only the first ``l`` distances and extrapolates —
 trading monitoring precision for memory, exactly the approximation the
 paper's related-work section discusses (over-approximation can cause
-false positives/negatives).
+false positives/negatives).  The paper's comparison runs it with
+``l = 1``, and so does this monitor.
 
-For a PJD stream the exact bounds are::
+For a PJD stream the exact upper bound is::
 
-    d_min(k) = max(k * period - jitter, k * min_distance)
-    d_max(k) = k * period + jitter
+    d_max(1) = period + jitter
 
 The monitor, as modified by the paper for the fail-silent fault model,
 polls every ``poll_interval`` and flags a stream faulty when the time
 since its most recent event exceeds ``d_max(1)`` (the next event is
-overdue) — detecting stopped or slowed replicas.  The symmetric over-rate
-check (more events in a window than ``d_min`` admits) is implemented too,
-for completeness and for the ablation studies.
+overdue) — detecting stopped or slowed replicas.
 
 The monitor is a simulated process that wakes up every ``poll_interval``
 ms (this is the runtime-timer dependency the paper's approach
@@ -51,32 +49,19 @@ class MonitorDetection:
 
 @dataclass(frozen=True)
 class DistanceBounds:
-    """l-repetitive distance bounds for one stream."""
+    """1-repetitive distance bound for one stream."""
 
-    d_min: tuple
-    d_max: tuple
-
-    @property
-    def l(self) -> int:
-        return len(self.d_min)
+    d_max: float
 
 
-def l_repetitive_bounds(model: PJD, l: int = 1, margin: float = 1e-6
+def l_repetitive_bounds(model: PJD, margin: float = 1e-6
                         ) -> DistanceBounds:
-    """Exact l-repetitive distance bounds of a PJD stream.
+    """Exact ``l = 1`` distance bound of a PJD stream.
 
-    ``margin`` widens the bounds infinitesimally so floating-point event
+    ``margin`` widens the bound infinitesimally so floating-point event
     times on the boundary never false-positive.
     """
-    if l < 1:
-        raise ValueError("l must be >= 1")
-    d_min: List[float] = []
-    d_max: List[float] = []
-    for k in range(1, l + 1):
-        low = max(k * model.period - model.jitter, k * model.min_distance)
-        d_min.append(max(low - margin, 0.0))
-        d_max.append(k * model.period + model.jitter + margin)
-    return DistanceBounds(tuple(d_min), tuple(d_max))
+    return DistanceBounds(model.period + model.jitter + margin)
 
 
 class DistanceFunctionMonitor(Process):
@@ -98,9 +83,6 @@ class DistanceFunctionMonitor(Process):
         replicator (their ``read`` events) and selector (``write``).
     bounds:
         One :class:`DistanceBounds` per stream.
-    check_overrate:
-        Also flag streams that are *too fast* (violate ``d_min``) —
-        disabled in the paper's fail-silent comparison.
     """
 
     def __init__(
@@ -111,7 +93,6 @@ class DistanceFunctionMonitor(Process):
         streams: Sequence[ChannelTrace],
         bounds: Sequence[DistanceBounds],
         event_kind: str = "write",
-        check_overrate: bool = False,
     ) -> None:
         super().__init__(name)
         if poll_interval <= 0:
@@ -123,7 +104,6 @@ class DistanceFunctionMonitor(Process):
         if len(bounds) != len(self.streams):
             raise ValueError("need one DistanceBounds per stream")
         self.bounds = list(bounds)
-        self.check_overrate = check_overrate
         self.detections: List[MonitorDetection] = []
         self._flagged = [False] * len(self.streams)
         self.polls = 0
@@ -161,15 +141,8 @@ class DistanceFunctionMonitor(Process):
             # first event (standard practice — a startup gap is not a
             # fault).
             return None
-        if now - last > bound.d_max[0]:
-            return f"gap {now - last:.3f} > d_max(1)={bound.d_max[0]:.3f}"
-        if self.check_overrate:
-            times = self.recent_event_times(index, bound.l + 1)
-            for k in range(1, len(times)):
-                gap = times[-1] - times[-1 - k]
-                if gap < bound.d_min[k - 1]:
-                    return (f"distance({k}) {gap:.3f} < d_min({k})="
-                            f"{bound.d_min[k - 1]:.3f}")
+        if now - last > bound.d_max:
+            return f"gap {now - last:.3f} > d_max(1)={bound.d_max:.3f}"
         return None
 
     def last_event_time(self, stream: int) -> Optional[float]:
@@ -179,12 +152,3 @@ class DistanceFunctionMonitor(Process):
             if event.kind == self.event_kind:
                 return event.time
         return None
-
-    def recent_event_times(self, stream: int, count: int) -> List[float]:
-        """The last ``count`` observed timestamps (oldest first)."""
-        times = [
-            e.time
-            for e in self.streams[stream].events
-            if e.kind == self.event_kind
-        ]
-        return times[-count:]

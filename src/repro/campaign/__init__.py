@@ -28,8 +28,8 @@ from repro.campaign.engine import (
     CampaignResult,
     ScenarioOutcome,
     evaluate_scenario,
+    judge_scenarios,
     run_campaign,
-    run_scenario,
 )
 from repro.campaign.mttf import (
     MttfConfig,
@@ -99,6 +99,7 @@ __all__ = [
     "build_campaign_report",
     "build_mttf_report",
     "evaluate_scenario",
+    "judge_scenarios",
     "load_reproducer",
     "oracles_by_name",
     "render_campaign_report",
@@ -106,7 +107,6 @@ __all__ = [
     "replay_reproducer",
     "run_campaign",
     "run_mttf_campaign",
-    "run_scenario",
     "save_reproducer",
     "save_run_report",
     "scenario_from_jsonable",

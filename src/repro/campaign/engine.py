@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.campaign.oracles import (
     ALL_ORACLES,
@@ -29,13 +29,7 @@ from repro.campaign.oracles import (
 )
 from repro.campaign.scenario import Scenario, ScenarioGenerator
 from repro.campaign.shrink import ShrinkResult, shrink_scenario
-from repro.exec import (
-    ResultCache,
-    SweepExecutor,
-    SweepStats,
-    TaskResult,
-    run_sweep,
-)
+from repro.exec import ResultCache, SweepExecutor, SweepStats, TaskResult
 
 #: Verdict strings (stable; part of the campaign digest).
 VERDICT_PASS = "pass"
@@ -160,18 +154,6 @@ def stream_summary(metrics) -> Dict[str, object]:
     }
 
 
-def run_scenario(
-    scenario: Scenario,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    executor: Optional[SweepExecutor] = None,
-) -> Tuple[TaskResult, TaskResult]:
-    """Execute one scenario's (reference, duplicated) pair."""
-    results = run_sweep(scenario.specs(), jobs=jobs, cache=cache,
-                        executor=executor)
-    return results[0], results[1]
-
-
 def evaluate_scenario(
     scenario: Scenario,
     reference: TaskResult,
@@ -194,6 +176,27 @@ def evaluate_scenario(
         violations=tuple(violations),
         reference=reference,
         duplicated=duplicated,
+    )
+
+
+def judge_scenarios(
+    scenarios: Sequence[Scenario],
+    oracles: Sequence[Oracle] = ALL_ORACLES,
+    executor: Optional[SweepExecutor] = None,
+) -> Iterator[ScenarioOutcome]:
+    """Execute every scenario's (reference, duplicated) pair in one
+    sweep on ``executor`` (``None``: a serial, uncached one) and return
+    the judged outcomes in scenario order.
+
+    The sweep runs before this returns; each scenario is judged as the
+    caller iterates, so a caller that stops early judges no more.
+    """
+    specs = [spec for scenario in scenarios for spec in scenario.specs()]
+    results = (executor or SweepExecutor()).run(specs)
+    return (
+        evaluate_scenario(scenario, results[2 * position],
+                          results[2 * position + 1], oracles)
+        for position, scenario in enumerate(scenarios)
     )
 
 
@@ -220,23 +223,15 @@ def run_campaign(
             oracles=[o.name for o in oracles],
         )
 
-    specs = []
-    for scenario in scenarios:
-        specs.extend(scenario.specs())
     # One persistent executor carries the whole campaign: the main batch
     # AND every shrink candidate reuse the same worker pool instead of
     # forking per call.
     executor = SweepExecutor(jobs=config.jobs, cache=config.cache,
                              ledger=ledger)
     try:
-        results = executor.run(specs)
-
         outcome_list: List[ScenarioOutcome] = []
-        for position, scenario in enumerate(scenarios):
-            reference = results[2 * position]
-            duplicated = results[2 * position + 1]
-            outcome = evaluate_scenario(scenario, reference, duplicated,
-                                        oracles)
+        for outcome in judge_scenarios(scenarios, oracles, executor):
+            scenario = outcome.scenario
             outcome_list.append(outcome)
             if ledger is not None:
                 ledger.scenario_verdict(
@@ -269,8 +264,6 @@ def run_campaign(
                 result.shrunk[outcome.digest] = shrink_scenario(
                     outcome.scenario,
                     oracles=oracles,
-                    jobs=config.jobs,
-                    cache=config.cache,
                     max_runs=config.max_shrink_runs,
                     executor=executor,
                 )

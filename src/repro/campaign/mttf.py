@@ -31,7 +31,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.campaign.engine import (
     VERDICT_PASS,
     ScenarioOutcome,
-    evaluate_scenario,
+    judge_scenarios,
 )
 from repro.campaign.oracles import oracles_by_name
 from repro.campaign.scenario import ScenarioGenerator
@@ -205,18 +205,8 @@ def run_mttf_campaign(config: MttfConfig, progress=None) -> MttfResult:
             count = min(batch, config.max_cycles - start)
             scenarios = [generator.scenario(start + offset)
                          for offset in range(count)]
-            specs = []
-            for scenario in scenarios:
-                specs.extend(scenario.specs())
-            results = executor.run(specs)
             stop = False
-            for position, scenario in enumerate(scenarios):
-                outcome = evaluate_scenario(
-                    scenario,
-                    results[2 * position],
-                    results[2 * position + 1],
-                    oracles,
-                )
+            for outcome in judge_scenarios(scenarios, oracles, executor):
                 ttf, mttr = _cycle_metrics(outcome)
                 result.cycles.append(
                     MttfCycle(outcome=outcome, ttf_ms=ttf, mttr_ms=mttr)
@@ -234,7 +224,7 @@ def run_mttf_campaign(config: MttfConfig, progress=None) -> MttfResult:
                     )
                 if not outcome.passed:
                     say(f"FAIL cycle {cycle_index} "
-                        f"{scenario.label()}: {outcome.verdict} "
+                        f"{outcome.scenario.label()}: {outcome.verdict} "
                         + "; ".join(v.message
                                     for v in outcome.violations))
                 if _converged(result.availability_trace,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Tuple, Union
 
-from repro.campaign.engine import ScenarioOutcome, evaluate_scenario
+from repro.campaign.engine import ScenarioOutcome, judge_scenarios
 from repro.campaign.oracles import Violation, oracles_by_name
 from repro.campaign.scenario import (
     Scenario,
@@ -30,10 +30,9 @@ from repro.campaign.scenario import (
     scenario_to_jsonable,
 )
 from repro.exec import (
-    ResultCache,
+    SweepExecutor,
     TaskSpec,
     TaskSpecError,
-    run_sweep,
     spec_from_jsonable,
     spec_to_jsonable,
 )
@@ -216,15 +215,14 @@ def save_run_report(
 
 def replay_reproducer(
     reproducer: Reproducer,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
+    executor: Optional[SweepExecutor] = None,
 ) -> ScenarioOutcome:
-    """Re-execute a reproducer's scenario under the full oracle suite.
+    """Re-execute a reproducer's scenario under the full oracle suite,
+    on ``executor`` (``None``: a serial, uncached one).
 
     Returns the judged outcome; :meth:`Reproducer.matches` tells whether
     the recorded violation reproduced.
     """
-    results = run_sweep(reproducer.scenario.specs(), jobs=jobs, cache=cache)
-    return evaluate_scenario(
-        reproducer.scenario, results[0], results[1], oracles_by_name(None)
-    )
+    [outcome] = judge_scenarios([reproducer.scenario],
+                                oracles_by_name(None), executor)
+    return outcome

@@ -20,16 +20,11 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterator, Optional, Sequence, Tuple
 
-from repro.campaign.oracles import (
-    ALL_ORACLES,
-    Oracle,
-    OutcomeContext,
-    Violation,
-)
+from repro.campaign.oracles import ALL_ORACLES, Oracle, Violation
 from repro.campaign.scenario import Scenario
-from repro.exec import ResultCache, SweepExecutor, run_sweep
+from repro.exec import SweepExecutor
 from repro.faults.models import FAIL_STOP, FaultSpec
 
 
@@ -53,28 +48,6 @@ class ShrinkResult:
     @property
     def token_reduction(self) -> int:
         return self.original.tokens - self.minimal.tokens
-
-
-def _judge(
-    scenario: Scenario,
-    oracles: Sequence[Oracle],
-    jobs: int,
-    cache: Optional[ResultCache],
-    executor: Optional[SweepExecutor] = None,
-) -> Tuple[Violation, ...]:
-    """Execute one scenario and return its oracle violations."""
-    results = run_sweep(scenario.specs(), jobs=jobs, cache=cache,
-                        executor=executor)
-    ctx = OutcomeContext(
-        scenario=scenario,
-        sizing=scenario.applied_sizing(scenario.build_app()),
-        reference=results[0],
-        duplicated=results[1],
-    )
-    violations: List[Violation] = []
-    for oracle in oracles:
-        violations.extend(oracle(ctx))
-    return tuple(violations)
 
 
 def _candidates(scenario: Scenario, period: float) -> Iterator[Scenario]:
@@ -137,8 +110,6 @@ def _candidates(scenario: Scenario, period: float) -> Iterator[Scenario]:
 def shrink_scenario(
     scenario: Scenario,
     oracles: Sequence[Oracle] = ALL_ORACLES,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
     max_runs: int = 48,
     known_violations: Optional[Sequence[Violation]] = None,
     executor: Optional[SweepExecutor] = None,
@@ -148,13 +119,20 @@ def shrink_scenario(
     ``known_violations`` (e.g. from the campaign's own evaluation) skips
     the baseline re-execution.  If the scenario turns out not to violate
     anything, the result is the scenario itself with zero target oracles.
-    Pass ``executor`` to judge candidates on an existing executor (and
-    its live pool) instead of a fresh pool per candidate —
-    the campaign engine shares its batch executor this way.
+    Every candidate runs on ``executor`` (``None``: a serial, uncached
+    one); the campaign engine shares its batch executor and pool this
+    way.
     """
+    # Imported here: the engine imports this module for its shrink step.
+    from repro.campaign import engine
+
+    def judge(candidate: Scenario) -> Tuple[Violation, ...]:
+        [outcome] = engine.judge_scenarios([candidate], oracles, executor)
+        return outcome.violations
+
     runs = 0
     if known_violations is None:
-        baseline = _judge(scenario, oracles, jobs, cache, executor)
+        baseline = judge(scenario)
         runs += 1
     else:
         baseline = tuple(known_violations)
@@ -174,7 +152,7 @@ def shrink_scenario(
         for candidate in _candidates(current, period):
             if runs >= max_runs:
                 break
-            violations = _judge(candidate, oracles, jobs, cache, executor)
+            violations = judge(candidate)
             runs += 1
             if target & {v.oracle for v in violations}:
                 current = candidate

@@ -47,10 +47,12 @@ Commands
     ``BENCH_primitives.json``, run the paired gates and append a
     labelled run with this host's machine fingerprint.
 
-``tables`` and ``reproduce`` drive their sweeps through the
-:mod:`repro.exec` executor: ``--jobs/-j N`` fans runs across N worker
-processes, results are memoised in ``.repro-cache/`` (``--no-cache``
-disables the cache, ``--refresh`` recomputes but re-stores).
+``tables``, ``reproduce`` and ``campaign`` build one
+:class:`repro.exec.SweepExecutor` per command and run every sweep of
+the command on it, so a pooled run forks its workers once:
+``--jobs/-j N`` fans runs across N worker processes, results are
+memoised in ``.repro-cache/`` (``--no-cache`` disables the cache,
+``--refresh`` recomputes but re-stores).
 """
 
 from __future__ import annotations
@@ -130,14 +132,21 @@ def _cmd_sizing(args) -> int:
     return 0
 
 
-def _sweep_options(args):
-    """(jobs, cache) from the shared ``--jobs/--no-cache/--refresh``."""
-    cache = None
-    if not args.no_cache:
-        from repro.exec import ResultCache
+def _result_cache(args):
+    """The on-disk result cache ``--no-cache/--refresh`` select."""
+    if args.no_cache:
+        return None
+    from repro.exec import ResultCache
 
-        cache = ResultCache(refresh=args.refresh)
-    return args.jobs, cache
+    return ResultCache(refresh=args.refresh)
+
+
+def _sweep_executor(args):
+    """The command's one :class:`~repro.exec.SweepExecutor`, from the
+    shared ``--jobs/--no-cache/--refresh``; the caller closes it."""
+    from repro.exec import SweepExecutor
+
+    return SweepExecutor(jobs=args.jobs, cache=_result_cache(args))
 
 
 def _add_sweep_arguments(parser) -> None:
@@ -160,27 +169,27 @@ def _cmd_tables(args) -> int:
     from repro.experiments.table2 import render_table2, run_table2
     from repro.experiments.table3 import render_table3, run_table3
 
-    jobs, cache = _sweep_options(args)
     which = set(args.which or ["1", "2", "3"])
     if "1" in which:
         print(render_table1())
         print()
-    if "2" in which:
-        for name in (args.apps or list(_APPS)):
-            app = _APPS[name](AppScale(), seed=42)
-            result = run_table2(app, runs=args.runs,
-                                warmup_tokens=args.warmup,
-                                jobs=jobs, cache=cache)
-            print(render_table2(result))
-            print()
-    if "3" in which:
-        apps = [
-            _APPS[name](AppScale(), seed=42)
-            for name in (args.apps or list(_APPS))
-        ]
-        print(render_table3(run_table3(apps=apps, runs=args.runs,
-                                       warmup_tokens=args.warmup,
-                                       jobs=jobs, cache=cache)))
+    with _sweep_executor(args) as executor:
+        if "2" in which:
+            for name in (args.apps or list(_APPS)):
+                app = _APPS[name](AppScale(), seed=42)
+                result = run_table2(app, runs=args.runs,
+                                    warmup_tokens=args.warmup,
+                                    executor=executor)
+                print(render_table2(result))
+                print()
+        if "3" in which:
+            apps = [
+                _APPS[name](AppScale(), seed=42)
+                for name in (args.apps or list(_APPS))
+            ]
+            print(render_table3(run_table3(apps=apps, runs=args.runs,
+                                           warmup_tokens=args.warmup,
+                                           executor=executor)))
     return 0
 
 
@@ -276,10 +285,10 @@ def _cmd_trace(args) -> int:
 def _cmd_reproduce(args) -> int:
     from repro.experiments.reproduce import reproduce_all
 
-    jobs, cache = _sweep_options(args)
-    result = reproduce_all(runs=args.runs, warmup_tokens=args.warmup,
-                           seed=args.seed, output_path=args.output,
-                           jobs=jobs, cache=cache)
+    with _sweep_executor(args) as executor:
+        result = reproduce_all(runs=args.runs, warmup_tokens=args.warmup,
+                               seed=args.seed, output_path=args.output,
+                               executor=executor)
     print(f"report written to {args.output}")
     print(f"all verdicts hold: {result.all_verdicts_hold}")
     return 0 if result.all_verdicts_hold else 1
@@ -353,28 +362,27 @@ def _cmd_campaign(args) -> int:
     )
     from repro.kpn.errors import SimulationError
 
-    jobs, cache = _sweep_options(args)
-
     if args.replay:
         # Replay previously saved reproducers.  A corrupt file is
         # quarantined with its named error; it never crashes the loop.
         failures = 0
-        for path in args.replay:
-            try:
-                reproducer = load_reproducer(path)
-            except ReproducerError as error:
-                print(f"SKIP {path}: {error}", file=sys.stderr)
-                failures += 1
-                continue
-            outcome = replay_reproducer(reproducer, jobs=jobs, cache=cache)
-            reproduced = reproducer.matches(outcome)
-            status = "reproduced" if reproduced else "NOT reproduced"
-            print(f"{path}: {outcome.scenario.label()} -> {status} "
-                  f"({', '.join(reproducer.target_oracles)})")
-            for violation in outcome.violations:
-                print(f"  {violation.oracle}: {violation.message}")
-            if not reproduced:
-                failures += 1
+        with _sweep_executor(args) as executor:
+            for path in args.replay:
+                try:
+                    reproducer = load_reproducer(path)
+                except ReproducerError as error:
+                    print(f"SKIP {path}: {error}", file=sys.stderr)
+                    failures += 1
+                    continue
+                outcome = replay_reproducer(reproducer, executor)
+                reproduced = reproducer.matches(outcome)
+                status = "reproduced" if reproduced else "NOT reproduced"
+                print(f"{path}: {outcome.scenario.label()} -> {status} "
+                      f"({', '.join(reproducer.target_oracles)})")
+                for violation in outcome.violations:
+                    print(f"  {violation.oracle}: {violation.message}")
+                if not reproduced:
+                    failures += 1
         return 1 if failures else 0
 
     ledger = None
@@ -394,16 +402,16 @@ def _cmd_campaign(args) -> int:
                   f"http://127.0.0.1:{server.port}/status")
 
     if args.mttf:
-        return _run_mttf(args, jobs, cache, ledger, server)
+        return _run_mttf(args, ledger, server)
 
     config = CampaignConfig(
         seed=args.seed,
         budget=args.budget,
-        jobs=jobs,
+        jobs=args.jobs,
         oracles=tuple(args.oracle or ()),
         self_tests=not args.no_self_tests,
         shrink=not args.no_shrink,
-        cache=cache,
+        cache=_result_cache(args),
         ledger=ledger,
     )
     try:
@@ -449,7 +457,7 @@ def _cmd_campaign(args) -> int:
     return 0 if result.ok else 1
 
 
-def _run_mttf(args, jobs, cache, ledger, server) -> int:
+def _run_mttf(args, ledger, server) -> int:
     """The ``repro campaign --mttf`` mode: availability to convergence."""
     import json
     from pathlib import Path
@@ -473,10 +481,10 @@ def _run_mttf(args, jobs, cache, ledger, server) -> int:
         min_cycles=args.min_cycles,
         window=args.mttf_window,
         rel_tol=args.mttf_rel_tol,
-        jobs=jobs,
+        jobs=args.jobs,
         recovery=recovery,
         oracles=tuple(args.oracle or ()),
-        cache=cache,
+        cache=_result_cache(args),
         ledger=ledger,
     )
     try:

@@ -3,10 +3,10 @@
 The subsystem turns every experiment run into a pickleable, content-
 addressed :class:`TaskSpec`, executes batches of them as handed over
 (each spec carries its solved sizing) through an optional fork pool
-(:class:`SweepExecutor` / :func:`run_sweep`), and memoises executed
-results on disk (:class:`ResultCache`), keyed by spec digest and
-guarded by a digest of the package source.  See
-``docs/API.md`` ("Parallel execution & caching") for the full contract.
+(:class:`SweepExecutor`), and memoises executed results on disk
+(:class:`ResultCache`), keyed by spec digest and guarded by a digest of
+the package source.  See ``docs/API.md`` ("Parallel execution &
+caching") for the full contract.
 
 Every re-export loads its submodule on first use: importing the package
 alone does not load ``multiprocessing`` or ``concurrent.futures``.
@@ -17,8 +17,7 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(__name__, {
     **dict.fromkeys(["CACHE_DIR_ENV", "CACHE_SCHEMA_VERSION",
                      "DEFAULT_CACHE_DIR", "ResultCache"], "cache"),
-    **dict.fromkeys(["SweepExecutor", "SweepStats", "run_sweep"],
-                    "executor"),
+    **dict.fromkeys(["SweepExecutor", "SweepStats"], "executor"),
     **dict.fromkeys(["PoolCrashError", "WorkerPool", "fork_available"],
                     "pool"),
     **dict.fromkeys(["MonitorRecord", "TaskResult", "hash_values",
@@ -54,7 +53,6 @@ __all__ = [
     "fork_available",
     "hash_values",
     "run_chunk",
-    "run_sweep",
     "snapshot_for_result",
     "spec_from_jsonable",
     "spec_to_jsonable",

@@ -9,8 +9,14 @@ how (or whether) the tasks ran in parallel:
 * ``jobs > 1`` — a persistent :class:`~repro.exec.pool.WorkerPool` fans
   chunks of tasks across cores.  The pool **survives across runs**: a
   campaign or table harness that calls :meth:`run` repeatedly pays fork
-  startup once.  Close the executor (or use it as a context manager)
-  when done; one-shot :func:`run_sweep` calls do this automatically.
+  startup once.
+
+Every sweep entry point (the experiment harnesses, the campaign
+engines, shrinking and reproducer replay) takes one ``executor``
+argument; ``None`` means a serial, uncached ``SweepExecutor()``, which
+never forks.  The caller that builds an executor owns it and closes it
+(``with SweepExecutor(jobs=...) as executor:``), so a command that runs
+several sweeps forks one pool for all of them.
 
 Before anything executes, the batch is **scheduled**:
 
@@ -266,28 +272,3 @@ class SweepExecutor:
             self.ledger.task_finished(index, result, cache_hit=cache_hit,
                                       deduped=deduped)
 
-
-def run_sweep(
-    specs: Sequence[TaskSpec],
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    ledger=None,
-    dedup: bool = True,
-    executor: Optional[SweepExecutor] = None,
-) -> List[TaskResult]:
-    """One-shot convenience wrapper around :class:`SweepExecutor`.
-
-    Pass an ``executor`` to reuse a persistent one (its pool survives;
-    the other arguments are ignored in that case).  Otherwise a
-    throwaway executor runs the sweep and its pool is torn down before
-    returning — one-shots never leak workers.
-    """
-    if executor is not None:
-        return executor.run(specs)
-    with SweepExecutor(
-        jobs=jobs,
-        cache=cache,
-        ledger=ledger,
-        dedup=dedup,
-    ) as one_shot:
-        return one_shot.run(specs)

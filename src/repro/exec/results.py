@@ -89,17 +89,18 @@ class TaskResult:
 
     def detection_latency(self, site: Optional[str] = None
                           ) -> Optional[float]:
-        """Injection-to-detection latency at an optional site (ms)."""
+        """Injection-to-detection latency of the faulted replica at an
+        optional site (ms); with no site, the earlier of the two."""
         if site == "selector":
             return self.latency_selector
         if site == "replicator":
             return self.latency_replicator
-        if self.injected_at is None:
-            return None
-        for record in self.detections:
-            if record.time >= self.injected_at:
-                return record.time - self.injected_at
-        return None
+        return min(
+            (latency for latency in (self.latency_selector,
+                                     self.latency_replicator)
+             if latency is not None),
+            default=None,
+        )
 
     def mechanism_latency(self, replica: int, mechanism: str
                           ) -> Optional[float]:

@@ -86,7 +86,6 @@ class DistanceMonitorSpec:
     poll_interval: float
     stop_time: float
     event_kind: str = "read"
-    l: int = 1
     margin_factor: float = 0.05
 
 

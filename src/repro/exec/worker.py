@@ -156,9 +156,7 @@ def _monitor_factory(app, monitor: DistanceMonitorSpec):
 
     bounds = [
         l_repetitive_bounds(
-            model,
-            l=monitor.l,
-            margin=monitor.margin_factor * model.period,
+            model, margin=monitor.margin_factor * model.period
         )
         for model in app.replica_input_models
     ]

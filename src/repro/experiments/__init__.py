@@ -11,9 +11,10 @@
 * :mod:`~repro.experiments.ablations` — threshold / polling / capacity
   sweeps for the design choices called out in DESIGN.md.
 
-All multi-run harnesses execute through the :mod:`repro.exec` sweep
-executor and accept ``jobs`` / ``cache`` parameters; serial, parallel
-and cache-replayed executions produce identical results.
+All multi-run harnesses run their sweep on one ``executor`` argument, a
+:class:`~repro.exec.SweepExecutor` the caller owns and closes (``None``:
+a serial, uncached one that never forks); serial, parallel and
+cache-replayed executions produce identical results.
 
 Only :mod:`~repro.experiments.runner` loads with the package; every other
 re-export imports its submodule (and, for the sweeps, :mod:`repro.exec`)

@@ -14,12 +14,13 @@
 All three sweeps execute through :mod:`repro.exec`: every point's runs
 become :class:`~repro.exec.TaskSpec` values (the overridden
 ``SizingResult`` rides inside the spec and participates in its digest),
-one flat :func:`~repro.exec.run_sweep` executes them — optionally in
-parallel and against the on-disk cache — and aggregation walks the
-deterministic, index-ordered results.  Deliberately under-sized
-configurations abort their simulation; those runs come back with
-``ok=False`` and count as false positives (both replicas implicated)
-exactly as the in-process version counted an aborting run.
+one flat sweep on the caller's :class:`~repro.exec.SweepExecutor`
+executes them — serial and uncached when none is given — and
+aggregation walks the deterministic, index-ordered results.
+Deliberately under-sized configurations abort their simulation; those
+runs come back with ``ok=False`` and count as false positives (both
+replicas implicated) exactly as the in-process version counted an
+aborting run.
 """
 
 from __future__ import annotations
@@ -30,12 +31,7 @@ from typing import List, Optional, Sequence
 
 from repro.analysis.stats import summarize
 from repro.apps.base import StreamingApplication
-from repro.exec import (
-    DistanceMonitorSpec,
-    ResultCache,
-    TaskSpec,
-    run_sweep,
-)
+from repro.exec import DistanceMonitorSpec, SweepExecutor, TaskSpec
 from repro.experiments.runner import fault_time_for
 from repro.faults.models import FAIL_STOP, FaultSpec
 
@@ -68,9 +64,7 @@ def threshold_sweep(
     warmup_tokens: int = 80,
     post_tokens: int = 30,
     base_seed: int = 1,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    executor=None,
+    executor: Optional[SweepExecutor] = None,
 ) -> List[SweepPoint]:
     """A1: sweep the selector divergence threshold ``D``."""
     base_sizing = app.sizing()
@@ -105,7 +99,7 @@ def threshold_sweep(
                     selector_stall_detection=False,
                 )
             )
-    results = run_sweep(specs, jobs=jobs, cache=cache, executor=executor)
+    results = (executor or SweepExecutor()).run(specs)
 
     points: List[SweepPoint] = []
     at = 0
@@ -155,9 +149,7 @@ def polling_interval_sweep(
     warmup_tokens: int = 80,
     post_tokens: int = 30,
     base_seed: int = 1,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    executor=None,
+    executor: Optional[SweepExecutor] = None,
 ) -> List[SweepPoint]:
     """A2: sweep the distance-function baseline's polling period."""
     app = app.minimized()
@@ -183,7 +175,7 @@ def polling_interval_sweep(
                     ),
                 )
             )
-    results = run_sweep(specs, jobs=jobs, cache=cache, executor=executor)
+    results = (executor or SweepExecutor()).run(specs)
 
     points: List[SweepPoint] = []
     at = 0
@@ -223,9 +215,7 @@ def capacity_margin_sweep(
     warmup_tokens: int = 80,
     post_tokens: int = 30,
     base_seed: int = 1,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    executor=None,
+    executor: Optional[SweepExecutor] = None,
 ) -> List[SweepPoint]:
     """A3: scale the replicator capacities around the Eq. 3 values."""
     base_sizing = app.sizing()
@@ -256,7 +246,7 @@ def capacity_margin_sweep(
                     strict_single_fault=False,
                 )
             )
-    results = run_sweep(specs, jobs=jobs, cache=cache, executor=executor)
+    results = (executor or SweepExecutor()).run(specs)
 
     points: List[SweepPoint] = []
     at = 0

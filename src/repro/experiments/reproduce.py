@@ -49,32 +49,26 @@ def reproduce_all(
     warmup_tokens: int = 150,
     seed: int = 42,
     output_path: Optional[str] = None,
-    jobs: int = 1,
-    cache=None,
+    executor=None,
 ) -> ReproductionResult:
     """Regenerate the full evaluation.
 
     ``output_path`` optionally writes the markdown report to disk.
     Smaller ``runs`` / ``warmup_tokens`` give quick smoke reproductions.
-    ``jobs`` fans each table's sweep across processes; ``cache`` (a
-    :class:`repro.exec.ResultCache`) replays previously executed runs.
-    All four table sweeps share one persistent
-    :class:`repro.exec.SweepExecutor`, so the worker pool forks once for
-    the whole evaluation instead of once per table.
+    All four table sweeps run on ``executor`` (a
+    :class:`repro.exec.SweepExecutor`; ``None``: a serial, uncached
+    one), so a pooled executor forks once for the whole evaluation.
     """
-    from repro.exec import SweepExecutor
-
     apps = [cls(AppScale(), seed=seed) for cls in ALL_APPLICATIONS]
     table1_text = render_table1(apps)
-    with SweepExecutor(jobs=jobs, cache=cache) as executor:
-        table2_results = [
-            run_table2(app, runs=runs, warmup_tokens=warmup_tokens,
-                       executor=executor)
-            for app in apps
-        ]
-        table3_result = run_table3(apps=apps, runs=runs,
-                                   warmup_tokens=min(warmup_tokens, 120),
-                                   executor=executor)
+    table2_results = [
+        run_table2(app, runs=runs, warmup_tokens=warmup_tokens,
+                   executor=executor)
+        for app in apps
+    ]
+    table3_result = run_table3(apps=apps, runs=runs,
+                               warmup_tokens=min(warmup_tokens, 120),
+                               executor=executor)
     markdown = "\n".join(
         [
             "```",

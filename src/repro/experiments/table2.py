@@ -23,7 +23,7 @@ from repro.analysis.tables import format_kv_block, format_table
 from repro.apps.base import StreamingApplication
 from repro.core.equivalence import output_values_equal
 from repro.core.overhead import OverheadReport
-from repro.exec import ResultCache, TaskSpec, run_sweep
+from repro.exec import SweepExecutor, TaskSpec
 from repro.experiments.runner import fault_time_for
 from repro.faults.models import FAIL_STOP, FaultSpec
 from repro.rtc.sizing import SizingResult
@@ -115,9 +115,7 @@ def run_table2(
     warmup_tokens: Optional[int] = None,
     post_tokens: int = 40,
     base_seed: int = 1,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    executor=None,
+    executor: Optional[SweepExecutor] = None,
 ) -> Table2Result:
     """Regenerate one application's half of Table 2.
 
@@ -125,13 +123,11 @@ def run_table2(
     fail-stop fault runs (alternating the faulty replica, randomised
     injection phase via the run seed) feed the latency block; one
     reference run per seed feeds the inter-frame comparison.  The sweep
-    executes through :func:`repro.exec.run_sweep` — ``jobs`` fans it out
-    across processes and ``cache`` replays previously executed runs;
-    ``executor`` reuses a persistent worker pool across tables.
+    runs on ``executor`` (``None``: a serial, uncached one).
     """
     sizing = app.sizing()
     specs = table2_specs(app, runs, warmup_tokens, post_tokens, base_seed)
-    results = run_sweep(specs, jobs=jobs, cache=cache, executor=executor)
+    results = (executor or SweepExecutor()).run(specs)
 
     max_fills = {"R1": 0, "R2": 0, "S": 0}
     ref_gaps: List[float] = []

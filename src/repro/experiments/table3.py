@@ -23,12 +23,7 @@ from repro.analysis.stats import LatencyStats, summarize
 from repro.analysis.tables import format_table
 from repro.apps import ALL_APPLICATIONS
 from repro.apps.base import AppScale, StreamingApplication
-from repro.exec import (
-    DistanceMonitorSpec,
-    ResultCache,
-    TaskSpec,
-    run_sweep,
-)
+from repro.exec import DistanceMonitorSpec, SweepExecutor, TaskSpec
 from repro.experiments.runner import fault_time_for
 from repro.faults.models import FAIL_STOP, FaultSpec
 
@@ -116,11 +111,10 @@ def run_table3(
     post_tokens: int = 30,
     poll_interval: float = 1.0,
     base_seed: int = 1,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    executor=None,
+    executor: Optional[SweepExecutor] = None,
 ) -> Table3Result:
-    """Regenerate Table 3 across the three applications."""
+    """Regenerate Table 3 across the three applications, as one sweep
+    on ``executor`` (``None``: a serial, uncached one)."""
     if apps is None:
         apps = [cls(AppScale()).minimized() for cls in ALL_APPLICATIONS]
     else:
@@ -134,8 +128,7 @@ def run_table3(
         )
         per_app.append((app, faults, len(all_specs), len(specs)))
         all_specs.extend(specs)
-    all_results = run_sweep(all_specs, jobs=jobs, cache=cache,
-                            executor=executor)
+    all_results = (executor or SweepExecutor()).run(all_specs)
 
     rows: List[Table3Row] = []
     for app, faults, offset, count in per_app:

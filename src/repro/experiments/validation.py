@@ -177,21 +177,20 @@ def validation_sweep(
     runs: int = 5,
     tokens: int = 150,
     base_seed: int = 1,
-    jobs: int = 1,
-    cache=None,
     executor=None,
 ) -> List[Tuple[str, int, ValidationReport]]:
     """Audit fault-free runs of every application across ``runs`` seeds.
 
-    Each run executes through :func:`repro.exec.run_sweep` with
-    ``validate=True``, so the audit itself happens worker-side (the
-    recorded trace never crosses the process boundary — only the
-    resulting :class:`ValidationReport` does).  Returns ``(app_name,
-    seed, report)`` triples in deterministic app-major order.
+    Each run executes on ``executor`` (``None``: a serial, uncached
+    :class:`~repro.exec.SweepExecutor`) with ``validate=True``, so the
+    audit itself happens worker-side (the recorded trace never crosses
+    the process boundary — only the resulting :class:`ValidationReport`
+    does).  Returns ``(app_name, seed, report)`` triples in
+    deterministic app-major order.
     """
     from repro.apps import ALL_APPLICATIONS
     from repro.apps.base import AppScale
-    from repro.exec import TaskSpec, run_sweep
+    from repro.exec import SweepExecutor, TaskSpec
 
     if apps is None:
         apps = [cls(AppScale()) for cls in ALL_APPLICATIONS]
@@ -207,7 +206,7 @@ def validation_sweep(
                     app, tokens, seed, sizing=sizing, validate=True
                 )
             )
-    results = run_sweep(specs, jobs=jobs, cache=cache, executor=executor)
+    results = (executor or SweepExecutor()).run(specs)
     audited: List[Tuple[str, int, ValidationReport]] = []
     for (name, seed), outcome in zip(labels, results):
         if not outcome.ok:

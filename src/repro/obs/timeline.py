@@ -130,24 +130,6 @@ class RunTimeline:
             return mark
         return None
 
-    def detection_latency(
-        self, site: Optional[str] = None
-    ) -> Optional[float]:
-        """Injection-to-first-detection latency (ms), optionally per site.
-
-        Pre-injection reports (false positives of a deliberately
-        under-sized configuration) are excluded, mirroring
-        :meth:`FaultInjector.detection_latency`.
-        """
-        for report in self.detections:
-            if site is not None and report.site != site:
-                continue
-            injected = self.injection_for(report.replica, before=report.time)
-            if injected is None:
-                continue
-            return report.time - injected.time
-        return None
-
     def process_names(self) -> List[str]:
         """Every process that appears in the transition stream."""
         seen = dict.fromkeys(t.process for t in self.transitions)

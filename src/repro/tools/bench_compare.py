@@ -305,7 +305,7 @@ def measure_obs_overhead(rounds: int = OBS_ROUNDS) -> float:
     statistic).
     """
     from repro.apps.synthetic import SyntheticApp
-    from repro.exec import TaskSpec, run_sweep
+    from repro.exec import SweepExecutor, TaskSpec
     from repro.obs import LedgerWriter
 
     app = SyntheticApp.bursty(seed=3)
@@ -315,8 +315,8 @@ def measure_obs_overhead(rounds: int = OBS_ROUNDS) -> float:
     with tempfile.TemporaryDirectory() as tmp:
         with LedgerWriter(Path(tmp) / "obs-overhead.ledger") as ledger:
             result = interleave(
-                _timed(lambda: run_sweep(specs)),
-                _timed(lambda: run_sweep(specs, ledger=ledger)),
+                _timed(lambda: SweepExecutor().run(specs)),
+                _timed(lambda: SweepExecutor(ledger=ledger).run(specs)),
                 rounds,
             )
     print(result.a.describe("plain sweep"))

@@ -21,11 +21,11 @@ import tempfile
 from typing import Optional, Sequence
 
 
-def _table2_json(app, runs: int, warmup: int, **kwargs) -> str:
+def _table2_json(app, runs: int, warmup: int, executor=None) -> str:
     from repro.experiments.table2 import run_table2
 
     result = run_table2(app, runs=runs, warmup_tokens=warmup,
-                        post_tokens=15, **kwargs)
+                        post_tokens=15, executor=executor)
     return json.dumps(result.as_dict(), sort_keys=True)
 
 
@@ -49,8 +49,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     cls = {c.name: c for c in ALL_APPLICATIONS}[args.app]
     app = cls(AppScale(), seed=42)
 
-    serial = _table2_json(app, args.runs, args.warmup, jobs=1)
-    parallel = _table2_json(app, args.runs, args.warmup, jobs=args.jobs)
+    serial = _table2_json(app, args.runs, args.warmup)
+    with SweepExecutor(jobs=args.jobs) as executor:
+        parallel = _table2_json(app, args.runs, args.warmup, executor)
     if serial != parallel:
         print(f"FAIL: jobs={args.jobs} JSON differs from serial")
         print(f"  serial:   {serial}")
@@ -60,9 +61,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
           f"({len(serial)} bytes)")
 
     with tempfile.TemporaryDirectory(prefix="sweep-smoke-") as tmp:
-        warm = _table2_json(app, args.runs, args.warmup, jobs=1,
-                            cache=ResultCache(tmp))
-        executor = SweepExecutor(jobs=1, cache=ResultCache(tmp))
+        warm = _table2_json(app, args.runs, args.warmup,
+                            SweepExecutor(cache=ResultCache(tmp)))
+        executor = SweepExecutor(cache=ResultCache(tmp))
         specs = table2_specs(app, runs=args.runs,
                              warmup_tokens=args.warmup, post_tokens=15)
         executor.run(specs)
@@ -70,9 +71,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"FAIL: cached re-run executed "
                   f"{executor.stats.executed} simulator runs (expected 0)")
             return 1
-        cached = _table2_json(app, args.runs, args.warmup, jobs=1,
-                              cache=ResultCache(tmp))
-        if cached != warm != serial:
+        cached = _table2_json(app, args.runs, args.warmup,
+                              SweepExecutor(cache=ResultCache(tmp)))
+        if not (cached == warm == serial):
             print("FAIL: cached replay JSON differs")
             return 1
     print(f"OK: cached re-run served all {len(specs)} tasks from cache, "

@@ -16,23 +16,12 @@ from repro.rtc.pjd import PJD
 
 class TestLRepetitiveBounds:
     def test_l1_bounds(self):
-        bounds = l_repetitive_bounds(PJD(10.0, 4.0, 10.0), l=1, margin=0.0)
-        assert bounds.d_max == (14.0,)
-        assert bounds.d_min == (10.0,)
-
-    def test_higher_l(self):
-        bounds = l_repetitive_bounds(PJD(10.0, 4.0, 10.0), l=3, margin=0.0)
-        assert bounds.l == 3
-        assert bounds.d_max == (14.0, 24.0, 34.0)
-        assert bounds.d_min == (10.0, 20.0, 30.0)
+        bounds = l_repetitive_bounds(PJD(10.0, 4.0, 10.0), margin=0.0)
+        assert bounds.d_max == 14.0
 
     def test_jitter_free(self):
-        bounds = l_repetitive_bounds(PJD(10.0), l=1, margin=0.0)
-        assert bounds.d_max == (10.0,)
-
-    def test_rejects_bad_l(self):
-        with pytest.raises(ValueError):
-            l_repetitive_bounds(PJD(10.0), l=0)
+        bounds = l_repetitive_bounds(PJD(10.0), margin=0.0)
+        assert bounds.d_max == 10.0
 
 
 def run_monitored(source_timing, monitor_bounds, tokens=20,
@@ -93,28 +82,6 @@ class TestDistanceFunctionMonitor:
         assert all(
             d.reason.startswith("gap") is False for d in monitor.detections
         ) or monitor.detections == []
-
-    def test_overrate_detection(self):
-        # Declare a slow model but drive a fast stream.
-        declared = PJD(50.0, 0.0, 50.0)
-        fast = PJD(10.0, 0.0, 10.0)
-        net = Network("t")
-        src = net.add_process(PeriodicSource("src", fast, 10, seed=1))
-        snk = net.add_process(RecordingSink("snk"))
-        fifo = net.add_fifo("f", 64)
-        fifo.trace.record_events = True
-        src.output = fifo.writer
-        snk.input = fifo.reader
-        monitor = DistanceFunctionMonitor(
-            "mon", poll_interval=1.0, stop_time=120.0,
-            streams=[fifo.trace],
-            bounds=[l_repetitive_bounds(declared)],
-            check_overrate=True,
-        )
-        net.add_process(monitor)
-        net.run(max_events=100_000)
-        assert monitor.detections
-        assert "d_min" in monitor.detections[0].reason
 
     def test_bounds_arity_checked(self):
         with pytest.raises(ValueError):

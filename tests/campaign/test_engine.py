@@ -5,8 +5,6 @@ simulation); the end-to-end wiring tests run tiny real campaigns —
 small token budgets keep them in tier-1 territory.
 """
 
-import multiprocessing
-
 import pytest
 
 from repro.campaign.engine import (
@@ -17,8 +15,8 @@ from repro.campaign.engine import (
     CampaignConfig,
     CampaignResult,
     evaluate_scenario,
+    judge_scenarios,
     run_campaign,
-    run_scenario,
 )
 from repro.campaign.scenario import (
     MISSIZE_CAPACITY,
@@ -29,10 +27,8 @@ from repro.core.detection import FaultReport
 from repro.exec import (
     KIND_DUPLICATED,
     KIND_REFERENCE,
-    SweepExecutor,
     WorkerPool,
 )
-from repro.exec.pool import fork_available
 from repro.exec.results import TaskResult
 from repro.rtc.pjd import PJD
 
@@ -138,50 +134,45 @@ class TestCampaignDigest:
 
 
 class TestExecution:
-    def test_run_scenario_returns_ordered_pair(self):
-        reference, duplicated = run_scenario(_scenario(tokens=40,
-                                                       warmup_tokens=10))
-        assert reference.kind == KIND_REFERENCE
-        assert duplicated.kind == KIND_DUPLICATED
-        assert reference.ok and duplicated.ok
-        assert duplicated.value_hashes == reference.value_hashes
+    def test_judge_scenarios_returns_ordered_outcomes(self):
+        scenarios = [_scenario(tokens=40, warmup_tokens=10),
+                     _scenario(index=1, tokens=30, warmup_tokens=10)]
+        outcomes = list(judge_scenarios(scenarios))
+        assert [o.scenario for o in outcomes] == scenarios
+        for outcome in outcomes:
+            assert outcome.reference.kind == KIND_REFERENCE
+            assert outcome.duplicated.kind == KIND_DUPLICATED
+            assert outcome.reference.ok and outcome.duplicated.ok
+            assert (outcome.duplicated.value_hashes
+                    == outcome.reference.value_hashes)
+            assert outcome.verdict == VERDICT_PASS
 
-    @pytest.mark.skipif(not fork_available(),
-                        reason="worker pool needs the fork start method")
-    @pytest.mark.parametrize("caller", ["run_scenario", "judge", "replay"])
+    @pytest.mark.parametrize("caller",
+                             ["judge", "shrink", "replay", "table2"])
     def test_one_off_callers_leave_no_live_pool(self, caller,
                                                 monkeypatch):
-        from repro.campaign.oracles import ALL_ORACLES
+        """A caller that passes no executor runs on a serial one: no
+        worker pool is ever forked, so none can be left behind."""
+        from repro.apps import AdpcmApp
+        from repro.apps.base import AppScale
         from repro.campaign.persist import Reproducer, replay_reproducer
-        from repro.campaign.shrink import _judge
+        from repro.campaign.shrink import shrink_scenario
+        from repro.experiments.table2 import run_table2
 
-        pools = []
-        real_init = WorkerPool.__init__
+        def refuse(pool, *args, **kwargs):
+            raise AssertionError("a worker pool was forked")
 
-        def tracking_init(pool, *args, **kwargs):
-            real_init(pool, *args, **kwargs)
-            pools.append(pool)
-
-        monkeypatch.setattr(WorkerPool, "__init__", tracking_init)
-        # Only an explicit close counts: garbage collection of a dropped
-        # executor would otherwise hide a missing ``with``.
-        monkeypatch.setattr(SweepExecutor, "__del__", lambda self: None)
+        monkeypatch.setattr(WorkerPool, "__init__", refuse)
         scenario = _scenario(tokens=40, warmup_tokens=10)
-        before = set(multiprocessing.active_children())
-        try:
-            if caller == "run_scenario":
-                run_scenario(scenario, jobs=2)
-            elif caller == "judge":
-                _judge(scenario, ALL_ORACLES, jobs=2, cache=None)
-            else:
-                replay_reproducer(Reproducer(scenario, target_oracles=()),
-                                  jobs=2)
-            assert len(pools) == 1  # the pair really ran on a pool
-            assert not pools[0].active
-            assert set(multiprocessing.active_children()) <= before
-        finally:
-            for pool in pools:
-                pool.close()
+        if caller == "judge":
+            list(judge_scenarios([scenario]))
+        elif caller == "shrink":
+            shrink_scenario(scenario, max_runs=2)
+        elif caller == "replay":
+            replay_reproducer(Reproducer(scenario, target_oracles=()))
+        else:
+            run_table2(AdpcmApp(AppScale(), seed=42), runs=1,
+                       warmup_tokens=10, post_tokens=10)
 
     def test_campaign_is_deterministic(self):
         config = CampaignConfig(seed=7, budget=3, self_tests=False,
@@ -219,8 +210,7 @@ class TestExecution:
         [broken] = [t for t in ScenarioGenerator(seed=7).self_tests()
                     if t.recovery is not None]
         assert not broken.recovery.reprime
-        reference, duplicated = run_scenario(broken)
-        outcome = evaluate_scenario(broken, reference, duplicated)
+        [outcome] = judge_scenarios([broken])
         assert outcome.verdict == VERDICT_EXPECTED
         assert outcome.passed
         assert "recovery" in {v.oracle for v in outcome.violations}

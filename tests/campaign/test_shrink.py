@@ -137,15 +137,21 @@ class TestShrinkSearch:
         pass — the acceptance rule must reject that candidate, so the
         minimal reproducer keeps a fault.  A stub judge makes the rule
         observable without simulating: only faulted scenarios violate."""
-        import repro.campaign.shrink as shrink_module
+        from types import SimpleNamespace
+
+        from repro.campaign import engine
         from repro.campaign.oracles import Violation
 
-        def fake_judge(scenario, oracles, jobs, cache, executor=None):
-            if scenario.fault is not None:
-                return (Violation("detection-latency", "stub"),)
-            return ()
+        def fake_judge(scenarios, oracles, executor=None):
+            return [
+                SimpleNamespace(violations=(
+                    (Violation("detection-latency", "stub"),)
+                    if scenario.fault is not None else ()
+                ))
+                for scenario in scenarios
+            ]
 
-        monkeypatch.setattr(shrink_module, "_judge", fake_judge)
+        monkeypatch.setattr(engine, "judge_scenarios", fake_judge)
         fault = FaultSpec(replica=0, time=350.0, kind=FAIL_STOP)
         scenario = _scenario(tokens=60, warmup_tokens=30, fault=fault)
         result = shrink_scenario(scenario, max_runs=30)

@@ -5,12 +5,7 @@ import dataclasses
 import pytest
 
 from repro.apps.synthetic import SyntheticApp
-from repro.exec import (
-    ResultCache,
-    SweepExecutor,
-    TaskSpec,
-    run_sweep,
-)
+from repro.exec import ResultCache, SweepExecutor, TaskSpec
 from repro.faults.models import FAIL_STOP, FaultSpec
 from repro.obs.metrics import MetricsRegistry
 
@@ -49,6 +44,12 @@ def _finished_indices(path):
     return sweeps
 
 
+def _pooled(specs, **kwargs):
+    """Run ``specs`` once on a two-worker executor, then close it."""
+    with SweepExecutor(jobs=2, **kwargs) as executor:
+        return executor.run(specs)
+
+
 def _strip(result):
     data = dataclasses.asdict(result)
     # Observability-only fields: wall clock, worker identity and the
@@ -62,17 +63,17 @@ def _strip(result):
 
 class TestOrderingAndIdentity:
     def test_results_in_input_order(self, specs):
-        results = run_sweep(specs)
+        results = SweepExecutor().run(specs)
         kinds = [r.kind for r in results]
         assert kinds == [s.kind for s in specs]
 
     def test_parallel_identical_to_serial(self, specs):
-        serial = run_sweep(specs, jobs=1)
-        pooled = run_sweep(specs, jobs=2)
+        serial = SweepExecutor().run(specs)
+        pooled = _pooled(specs)
         assert [_strip(r) for r in serial] == [_strip(r) for r in pooled]
 
     def test_empty_sweep(self):
-        assert run_sweep([]) == []
+        assert SweepExecutor().run([]) == []
 
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ValueError):
@@ -89,7 +90,7 @@ class TestErrorIsolation:
         )
         good = TaskSpec.reference(app, 40, 1, sizing=app.sizing())
         bad = TaskSpec.duplicated(app, 40, 1, sizing=sizing)
-        results = run_sweep([good, bad, good])
+        results = SweepExecutor().run([good, bad, good])
         assert results[0].ok and results[2].ok
         assert not results[1].ok
         assert "Error" in results[1].error
@@ -130,7 +131,7 @@ class TestObservability:
         from repro.obs.ledger import LedgerWriter
 
         with LedgerWriter(tmp_path / "run.ledger") as ledger:
-            run_sweep(specs, ledger=ledger)
+            SweepExecutor(ledger=ledger).run(specs)
         [finished] = _finished_indices(tmp_path / "run.ledger")
         assert sorted(finished) == list(range(len(specs)))
 
@@ -191,7 +192,7 @@ class TestStreaming:
     """The run-ledger + mergeable-snapshot streaming path."""
 
     def test_results_carry_metrics_and_worker(self, specs):
-        for result in run_sweep(specs):
+        for result in SweepExecutor().run(specs):
             assert result.worker and result.worker["pid"] > 0
             metrics = MetricsRegistry.from_dict(result.metrics)
             assert metrics.counters["tasks.total"] == 1
@@ -200,7 +201,7 @@ class TestStreaming:
             assert metrics.get("task.wall_ms").count == 1
 
     def test_fault_tasks_observe_detection_latency(self, specs):
-        results = run_sweep(specs)
+        results = SweepExecutor().run(specs)
         for spec, result in zip(specs, results):
             metrics = MetricsRegistry.from_dict(result.metrics)
             latency = metrics.get("detect.latency_ms")
@@ -281,9 +282,9 @@ class TestStreaming:
     def test_streaming_does_not_change_results(self, specs, tmp_path):
         from repro.obs.ledger import LedgerWriter
 
-        plain = run_sweep(specs)
+        plain = SweepExecutor().run(specs)
         with LedgerWriter(tmp_path / "run.ledger") as ledger:
-            streamed = run_sweep(specs, ledger=ledger)
+            streamed = SweepExecutor(ledger=ledger).run(specs)
         assert [_strip(r) for r in plain] == [_strip(r) for r in streamed]
 
 
@@ -330,7 +331,7 @@ class TestDedupScheduling:
             results = executor.run(doubled)
         assert executor.stats.executed == len(specs)
         assert executor.stats.deduped == len(specs)
-        serial = run_sweep(doubled, dedup=False)
+        serial = SweepExecutor(dedup=False).run(doubled)
         assert [_strip(r) for r in results] == [_strip(r) for r in serial]
 
     def test_cache_hit_resolves_followers_as_deduped(self, specs,
@@ -382,7 +383,7 @@ class TestMonotoneProgress:
 
         doubled = list(specs) + list(specs)
         with LedgerWriter(tmp_path / "run.ledger") as ledger:
-            run_sweep(doubled, jobs=2, ledger=ledger)
+            _pooled(doubled, ledger=ledger)
         [finished] = _finished_indices(tmp_path / "run.ledger")
         assert sorted(finished) == list(range(len(doubled)))
 
@@ -402,8 +403,8 @@ class TestMonotoneProgress:
 
         SweepExecutor(cache=ResultCache(tmp_path / "cache")).run(specs)
         with LedgerWriter(tmp_path / "run.ledger") as ledger:
-            run_sweep(specs, cache=ResultCache(tmp_path / "cache"),
-                      ledger=ledger)
+            SweepExecutor(cache=ResultCache(tmp_path / "cache"),
+                          ledger=ledger).run(specs)
         [finished] = _finished_indices(tmp_path / "run.ledger")
         assert finished == list(range(len(specs)))
 
@@ -476,8 +477,8 @@ class TestPresolve:
         unsized = [TaskSpec.reference(app, 40, seed) for seed in (1, 2)]
         sized = [TaskSpec.reference(app, 40, seed, sizing=app.sizing())
                  for seed in (1, 2)]
-        results = run_sweep(unsized)
-        baseline = run_sweep(sized)
+        results = SweepExecutor().run(unsized)
+        baseline = SweepExecutor().run(sized)
         assert [_strip(r) for r in results] == [_strip(r) for r in baseline]
 
     def test_presolve_does_not_perturb_cache_keys(self, app, tmp_path):
@@ -493,6 +494,6 @@ class TestPresolve:
     def test_parallel_presolve_matches_serial(self, app):
         unsized = [TaskSpec.reference(app, 40, seed)
                    for seed in (1, 2, 3, 4)]
-        serial = run_sweep(unsized, jobs=1)
-        pooled = run_sweep(unsized, jobs=2)
+        serial = SweepExecutor().run(unsized)
+        pooled = _pooled(unsized)
         assert [_strip(r) for r in serial] == [_strip(r) for r in pooled]

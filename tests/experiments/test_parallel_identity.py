@@ -12,7 +12,7 @@ import pytest
 
 from repro.apps import ALL_APPLICATIONS
 from repro.apps.base import AppScale
-from repro.exec import ResultCache, SweepExecutor, run_sweep
+from repro.exec import ResultCache, SweepExecutor
 from repro.experiments.ablations import threshold_sweep
 from repro.experiments.table2 import run_table2, table2_specs
 from repro.experiments.table3 import run_table3
@@ -27,60 +27,64 @@ def app():
     return ALL_APPLICATIONS[1](AppScale(), seed=42)  # adpcm: fastest
 
 
-def _table2_json(app, **kwargs):
+def _table2_json(app, executor=None):
     result = run_table2(app, runs=RUNS, warmup_tokens=WARMUP,
-                        post_tokens=POST, **kwargs)
+                        post_tokens=POST, executor=executor)
     return json.dumps(result.as_dict(), sort_keys=True)
 
 
 class TestParallelIdentity:
     def test_table2_jobs4_byte_identical_to_serial(self, app):
-        serial = _table2_json(app, jobs=1)
-        parallel = _table2_json(app, jobs=4)
+        serial = _table2_json(app)
+        with SweepExecutor(jobs=4) as executor:
+            parallel = _table2_json(app, executor)
         assert serial == parallel
 
     def test_table3_jobs2_identical_to_serial(self, app):
         serial = run_table3(apps=[app], runs=RUNS, warmup_tokens=WARMUP,
-                            post_tokens=POST, jobs=1)
-        parallel = run_table3(apps=[app], runs=RUNS, warmup_tokens=WARMUP,
-                              post_tokens=POST, jobs=2)
+                            post_tokens=POST)
+        with SweepExecutor(jobs=2) as executor:
+            parallel = run_table3(apps=[app], runs=RUNS,
+                                  warmup_tokens=WARMUP, post_tokens=POST,
+                                  executor=executor)
         assert serial == parallel
 
     def test_ablation_jobs2_identical_to_serial(self, app):
         kwargs = dict(thresholds=[2, 6], runs=2, warmup_tokens=WARMUP,
                       post_tokens=POST)
-        assert (
-            threshold_sweep(app, jobs=1, **kwargs)
-            == threshold_sweep(app, jobs=2, **kwargs)
-        )
+        with SweepExecutor(jobs=2) as executor:
+            parallel = threshold_sweep(app, executor=executor, **kwargs)
+        assert threshold_sweep(app, **kwargs) == parallel
 
 
 class TestCachedReplay:
     def test_cached_rerun_executes_zero_runs(self, app, tmp_path):
-        uncached = _table2_json(app, jobs=1)
-        _table2_json(app, jobs=1, cache=ResultCache(tmp_path))
+        uncached = _table2_json(app)
+        _table2_json(app, SweepExecutor(cache=ResultCache(tmp_path)))
 
         # Drive the same sweep through an executor we can interrogate:
         # every spec must come from the cache, none from the simulator.
-        executor = SweepExecutor(jobs=1, cache=ResultCache(tmp_path))
+        executor = SweepExecutor(cache=ResultCache(tmp_path))
         specs = table2_specs(app, runs=RUNS, warmup_tokens=WARMUP,
                              post_tokens=POST)
         executor.run(specs)
         assert executor.stats.executed == 0
         assert executor.stats.cache_hits == len(specs)
 
-        cached = _table2_json(app, jobs=1, cache=ResultCache(tmp_path))
+        cached = _table2_json(app,
+                              SweepExecutor(cache=ResultCache(tmp_path)))
         assert cached == uncached
 
     def test_parallel_populates_cache_serial_replays(self, app, tmp_path):
-        parallel = _table2_json(app, jobs=2, cache=ResultCache(tmp_path))
-        replay_executor = SweepExecutor(jobs=1,
-                                        cache=ResultCache(tmp_path))
+        with SweepExecutor(jobs=2, cache=ResultCache(tmp_path)) as pooled:
+            parallel = _table2_json(app, pooled)
+        replay_executor = SweepExecutor(cache=ResultCache(tmp_path))
         specs = table2_specs(app, runs=RUNS, warmup_tokens=WARMUP,
                              post_tokens=POST)
         replay_executor.run(specs)
         assert replay_executor.stats.executed == 0
-        serial = _table2_json(app, jobs=1, cache=ResultCache(tmp_path))
+        serial = _table2_json(app,
+                              SweepExecutor(cache=ResultCache(tmp_path)))
         assert serial == parallel
 
 
@@ -96,8 +100,9 @@ class TestUnsizedIdentity:
                              post_tokens=POST)
         # table2_specs pre-attaches sizings; strip them.
         stripped = [dataclasses.replace(s, sizing=None) for s in specs]
-        presized_results = run_sweep(specs, jobs=1)
-        unsized_results = run_sweep(stripped, jobs=2)
+        presized_results = SweepExecutor().run(specs)
+        with SweepExecutor(jobs=2) as executor:
+            unsized_results = executor.run(stripped)
 
         def canonical(results):
             payload = []
@@ -146,7 +151,8 @@ class TestExecutionMatrix:
     @pytest.fixture(scope="class")
     def baselines(self, matrix_inputs):
         return {
-            name: self._canonical(run_sweep(specs, jobs=1, dedup=False))
+            name: self._canonical(
+                SweepExecutor(dedup=False).run(specs))
             for name, specs in matrix_inputs.items()
         }
 

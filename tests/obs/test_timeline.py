@@ -48,21 +48,19 @@ class TestFaultAccounting:
         timeline.watch(log)
         timeline.mark_injection(100.0, 0, "fail-stop")
         log.record(130.0, "selector", 0, "stall")
-        assert timeline.detection_latency() == 30.0
-        assert timeline.detection_latency(site="selector") == 30.0
-        assert timeline.detection_latency(site="replicator") is None
         hist = registry.get("detect.latency_ms")
         assert hist.count == 1
         assert hist.max == 30.0
         assert registry.get("detect.reports").value == 1
 
     def test_pre_injection_reports_do_not_count_as_latency(self):
-        timeline = RunTimeline()
+        registry = MetricsRegistry()
+        timeline = RunTimeline(registry)
         log = DetectionLog()
         timeline.watch(log)
         log.record(5.0, "selector", 0, "stall")  # before any injection
         timeline.mark_injection(100.0, 0, "fail-stop")
-        assert timeline.detection_latency() is None
+        assert registry.get("detect.latency_ms").count == 0
         assert len(timeline.detections) == 1
 
     def test_unwatch_via_detection_log_unsubscribe(self):

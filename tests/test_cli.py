@@ -71,6 +71,38 @@ class TestDemoCommand:
         assert "rate-degrade" in capsys.readouterr().out
 
 
+@pytest.fixture
+def forked_pools(monkeypatch):
+    """Every :class:`WorkerPool` created while the test runs, and the
+    live child processes from before it.  Dropped executors are not
+    closed by garbage collection here, so a missing ``with`` shows."""
+    import multiprocessing
+
+    from repro.exec import SweepExecutor, WorkerPool, fork_available
+
+    if not fork_available():
+        pytest.skip("worker pool needs the fork start method")
+    pools = []
+    real_init = WorkerPool.__init__
+
+    def tracking_init(pool, *args, **kwargs):
+        real_init(pool, *args, **kwargs)
+        pools.append(pool)
+
+    monkeypatch.setattr(WorkerPool, "__init__", tracking_init)
+    monkeypatch.setattr(SweepExecutor, "__del__", lambda self: None)
+    before = set(multiprocessing.active_children())
+    yield pools, before
+    for pool in pools:
+        pool.close()
+
+
+def _live_children():
+    import multiprocessing
+
+    return set(multiprocessing.active_children())
+
+
 class TestTablesCommand:
     def test_table1_only(self, capsys):
         assert main(["tables", "--which", "1"]) == 0
@@ -84,6 +116,17 @@ class TestTablesCommand:
         out = capsys.readouterr().out
         assert "Table 2 [adpcm]" in out
         assert "mjpeg" not in out
+
+    def test_one_pool_per_command(self, forked_pools, capsys):
+        pools, before = forked_pools
+        code = main(["tables", "--which", "2", "3", "--apps", "adpcm",
+                     "--runs", "2", "--warmup", "20", "-j", "2",
+                     "--no-cache"])
+        assert code == 0
+        assert "Table 3" in capsys.readouterr().out
+        assert len(pools) == 1  # Table 2 and Table 3 share one pool
+        assert not pools[0].active
+        assert _live_children() <= before
 
 
 class TestCalibrateCommand:
@@ -195,6 +238,25 @@ class TestCampaignCommand:
         assert "no-false-positive" not in out
 
     def test_replay_reproduces_saved_violation(self, tmp_path, capsys):
+        path = self._save_violation(tmp_path)
+        code = main(["campaign", "--no-cache", "--replay", str(path)])
+        assert code == 0
+        assert "reproduced" in capsys.readouterr().out
+
+    def test_pooled_replay_leaves_no_live_child(self, tmp_path,
+                                                forked_pools, capsys):
+        pools, before = forked_pools
+        path = self._save_violation(tmp_path)
+        code = main(["campaign", "--no-cache", "--replay", str(path),
+                     "-j", "2"])
+        assert code == 0
+        assert "reproduced" in capsys.readouterr().out
+        assert len(pools) == 1  # the replayed pair ran on a pool
+        assert not pools[0].active
+        assert _live_children() <= before
+
+    @staticmethod
+    def _save_violation(tmp_path):
         from repro.apps.synthetic import SyntheticApp
         from repro.campaign import Reproducer, save_reproducer
         from repro.campaign.scenario import (
@@ -214,14 +276,11 @@ class TestCampaignCommand:
                             warmup_tokens=0, seed=5, models=models,
                             missize=MISSIZE_CAPACITY,
                             expect_violation=True)
-        path = save_reproducer(
+        return save_reproducer(
             Reproducer(scenario=scenario,
                        target_oracles=("no-false-positive",)),
             tmp_path / "r.json",
         )
-        code = main(["campaign", "--no-cache", "--replay", str(path)])
-        assert code == 0
-        assert "reproduced" in capsys.readouterr().out
 
     def test_replay_quarantines_corrupt_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
